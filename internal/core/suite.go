@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 
@@ -82,6 +83,18 @@ func (o *SuiteOptions) defaults() {
 	if o.ToleranceFractions == nil {
 		o.ToleranceFractions = []float64{0, 0.01, 0.02, 0.05, 0.10, 0.15, 0.20}
 	}
+}
+
+// Validate rejects options a suite run cannot compute: every tolerance
+// fraction must be a finite value in [0, 1]. Callers that accept options
+// from outside the process check them here before keying or running.
+func (o SuiteOptions) Validate() error {
+	for _, f := range o.ToleranceFractions {
+		if math.IsNaN(f) || f < 0 || f > 1 {
+			return fmt.Errorf("core: tolerance fraction %v outside [0, 1]", f)
+		}
+	}
+	return nil
 }
 
 // CacheKey returns a canonical description of the options for the result

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -71,5 +72,20 @@ func TestRunSuiteRaceShort(t *testing.T) {
 	res := RunSuite(ms.AS, opts)
 	if res.Expansion.Len() == 0 || res.LinkValues == nil {
 		t.Fatal("race-mode suite produced empty results")
+	}
+}
+
+// TestSuiteOptionsValidate pins the tolerance-fraction range check that
+// keeps a malformed request from reaching the removal curves.
+func TestSuiteOptionsValidate(t *testing.T) {
+	for _, fr := range [][]float64{nil, {0, 0.5, 1}} {
+		if err := (SuiteOptions{ToleranceFractions: fr}).Validate(); err != nil {
+			t.Errorf("%v: unexpected error %v", fr, err)
+		}
+	}
+	for _, bad := range []float64{1.5, -0.1, math.NaN(), math.Inf(1)} {
+		if err := (SuiteOptions{ToleranceFractions: []float64{0, bad}}).Validate(); err == nil {
+			t.Errorf("%v: accepted", bad)
+		}
 	}
 }

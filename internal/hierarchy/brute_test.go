@@ -13,7 +13,7 @@ import (
 // every ordered pair (u,t) and edge (a,b) on u's shortest-path DAG toward
 // t, the fraction of u→t shortest paths through the edge is
 // sigma_u(a)*sigma_t(b)/sigma_u(t). This is an independent reference for
-// the sweep implementation.
+// the sweep implementation and its entry store.
 func bruteLinkValues(g *graph.Graph) *Result {
 	edges := g.Edges()
 	ix := graph.NewEdgeIndex(g)
@@ -43,11 +43,44 @@ func bruteLinkValues(g *graph.Graph) *Result {
 			}
 		}
 	}
-	// The brute stream is one (u, t)-ascending block, so a single "source"
-	// block satisfies coverValues' input-order contract.
-	values := coverValues(len(edges), n, [][]pairEntry{entries},
-		[][]int{{len(entries)}}, [][]int{{0}})
-	return &Result{Edges: edges, Values: values, N: n}
+	return &Result{Edges: edges, Values: bruteCoverValues(len(edges), n, entries), N: n}
+}
+
+// pairEntry is one (source, target) pair crossing an edge, with the edge
+// named explicitly and node ids for the endpoints.
+type pairEntry struct {
+	edge uint32
+	u, t int32
+	w    float64
+}
+
+// bruteCoverValues groups a (u, t)-ascending entry list by edge with one
+// global stable counting sort — so every group lands in canonical (edge,
+// u, t) order — and covers each group with the production edgeCover. This
+// is the design the bucketed entry store replaced, kept as its oracle.
+func bruteCoverValues(numEdges, numNodes int, entries []pairEntry) []float64 {
+	off := make([]int, numEdges+1)
+	for _, p := range entries {
+		off[p.edge+1]++
+	}
+	for e := 0; e < numEdges; e++ {
+		off[e+1] += off[e]
+	}
+	cur := append([]int(nil), off[:numEdges]...)
+	sorted := make([]coverEntry, len(entries))
+	for _, p := range entries {
+		sorted[cur[p.edge]] = coverEntry{u: p.u, t: p.t, w: p.w}
+		cur[p.edge]++
+	}
+	cs := &coverScratch{}
+	cs.ensure(numNodes)
+	values := make([]float64, numEdges)
+	for e := 0; e < numEdges; e++ {
+		if group := sorted[off[e]:off[e+1]]; len(group) > 0 {
+			values[e] = edgeCover(group, cs)
+		}
+	}
+	return values
 }
 
 func TestSweepMatchesBruteForce(t *testing.T) {

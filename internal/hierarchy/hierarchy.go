@@ -17,7 +17,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sync"
 
 	"topocmp/internal/ball"
 	"topocmp/internal/graph"
@@ -47,9 +46,10 @@ type Options struct {
 	// parameter.
 	Sigma SigmaMode
 	// Metrics, when non-nil, counts the source sweeps performed
-	// (hierarchy.link_value_sweeps / hierarchy.policy_sweeps) and the sigma
-	// routing (hierarchy.sigma_batches / hierarchy.sigma_scalar, width
-	// gauge hierarchy.sigma_width). Never affects results.
+	// (hierarchy.link_value_sweeps / hierarchy.policy_sweeps), the pair
+	// entries they emitted (hierarchy.pair_entries, 16 bytes each) and the
+	// sigma routing (hierarchy.sigma_batches / hierarchy.sigma_scalar,
+	// width gauge hierarchy.sigma_width). Never affects results.
 	Metrics *obs.Registry `json:"-"`
 }
 
@@ -178,150 +178,51 @@ func (r *Result) DegreeCorrelationDegrees(deg []int) float64 {
 	return stats.Pearson(vals, mins)
 }
 
-// pairEntry is one (source, target) pair crossing an edge with the fraction
-// of its shortest paths that do so.
-type pairEntry struct {
-	edge uint32
-	u, t int32
-	w    float64
-}
-
-// coverEntry is one pair entry inside a single edge's group: the edge id is
-// implicit in the grouping, so the cover passes stream 16-byte elements
-// instead of re-reading it from every entry.
-type coverEntry struct {
-	u, t int32
-	w    float64
-}
-
-// coverBucketShift sizes the edgeStream buckets: edge ids are partitioned
-// by id>>shift, 32 edges per bucket. Buckets keep the emission's write
-// streams few and sequential (cache- and TLB-resident tails) while staying
-// small enough that one bucket's entries counting-sort and cover inside L2.
-const coverBucketShift = 5
-
-// bucketChunk is the edgeStream arena chunk size in entries (a power of
-// two: the emission fast path tests the cursor against the chunk mask).
-const bucketChunk = 1024
-
-// edgeStream radix-partitions pair entries by edge-id bucket as they are
-// emitted, so the single-worker batched route never materializes the global
-// linear entry log or its full-size counting sort: the sweeps append each
-// entry to its bucket's chunk chain (a handful of hot sequential tails
-// instead of one random-write arena), and finalization re-sorts one
-// cache-resident bucket at a time into per-edge groups. A single worker
-// emits in canonical (u, t)-ascending order, and the bucket sort is stable
-// by edge, so each group reads back exactly the sequence the global
-// counting sort would hand edgeCover.
-//
-// cur is each bucket's next write index into the data arena. Chunk 0 is a
-// reserved sentinel no bucket ever owns, so cur == 0 (empty bucket) and any
-// other chunk-aligned value (full tail) both land on the one boundary test
-// at the open-coded emission sites — the hot path is three memory
-// operations on cache-resident lines.
-type edgeStream struct {
-	heads []int32 // per bucket: first chunk, -1 when empty
-	tails []int32 // per bucket: tail chunk
-	cur   []int32 // per bucket: next write index into data
-	next  []int32 // per chunk: successor, -1 at the tail
-	data  []pairEntry
-}
-
-func (es *edgeStream) reset(numEdges int) {
-	nb := (numEdges >> coverBucketShift) + 1
-	es.heads = growI32(es.heads, nb)
-	es.tails = growI32(es.tails, nb)
-	es.cur = growI32(es.cur, nb)
-	for i := 0; i < nb; i++ {
-		es.heads[i] = -1
-		es.tails[i] = -1
-		es.cur[i] = 0
-	}
-	// Reserve the sentinel chunk (its contents are never read).
-	es.next = append(es.next[:0], -1)
-	if cap(es.data) < bucketChunk {
-		es.data = make([]pairEntry, bucketChunk, 32*bucketChunk)
-	} else {
-		es.data = es.data[:bucketChunk]
-	}
-}
-
-// grow opens a new tail chunk for bucket b and writes p as its first entry;
-// reused arena capacity is left dirty (cur bounds every read).
-func (es *edgeStream) grow(b uint32, p pairEntry) {
-	ni := int32(len(es.next))
-	es.next = append(es.next, -1)
-	base := ni * bucketChunk
-	need := int(base) + bucketChunk
-	if cap(es.data) < need {
-		nd := make([]pairEntry, need, max(2*need, 32*bucketChunk))
-		copy(nd, es.data)
-		es.data = nd
-	} else {
-		es.data = es.data[:need]
-	}
-	es.data[base] = p
-	if ti := es.tails[b]; ti >= 0 {
-		es.next[ti] = ni
-	} else {
-		es.heads[b] = ni
-	}
-	es.tails[b] = ni
-	es.cur[b] = base + 1
-}
-
-// sweepScratch is one link-value worker's traversal workspace — BFS
-// scratch, the ancestor-sweep g-value accumulators and level buckets, and
-// the policy sweeps' per-edge fraction accumulators — leased through the
-// unified ball.Pool layer, one bundle per worker per call. The float
-// buffers rely on a zero-at-rest invariant (every sweep resets what it
+// sweepScratch is one link-value worker's workspace — BFS scratch, the
+// ancestor walk's g-value accumulators and level buckets, the policy walk's
+// per-edge fraction accumulators, and the worker's entry store — leased
+// through the unified ball.Pool layer, one bundle per worker per call. The
+// float buffers rely on a zero-at-rest invariant (every walk resets what it
 // touched), so a leased bundle behaves exactly like a fresh one.
 type sweepScratch struct {
 	bfs     *graph.BFSScratch
 	msbfs   *graph.MSBFSScratch // sigma-batch kernel, allocated on first batched lease
-	emarks  graph.Stamp         // per-target edge dedup marks (TraversalSetSizes)
 	gval    []float64
 	touched []int32
 	buckets [][]int32
-	localW  []float64 // per-edge fraction accumulators (policy sweeps)
+	localW  []float64 // per-edge fraction accumulators (policy walk)
 	localE  []uint32  // edge ids touched in localW for the current target
-	// entries persists a worker's pair-entry capacity across leases; growing
-	// it fresh every call made append's doubling copies the single biggest
-	// cost of the link-value stage. A bundle whose entries are still being
-	// read by coverValues must not be returned to the pool until the values
-	// are computed.
-	entries []pairEntry
-	// Per-source shortest-path-DAG predecessor lists (batched route only):
-	// pred arcs of b are its neighbors one level closer to the source, in
-	// adjacency order, with their dense edge ids alongside. Built lazily —
-	// a node's adjacency is filtered the first time a target walk reaches
-	// it, memoized for the source's remaining targets via pstamp — so with
-	// sampled pair universes only the ancestors of sampled targets ever pay
-	// an adjacency scan or a (table-read) edge-id lookup.
+	// store receives the worker's pair entries; it is read by the cover
+	// pass, so a bundle goes back to the pool only once the values are
+	// computed (sweepRun.release).
+	store entryStore
+	// Per-source shortest-path-DAG predecessor lists: pred arcs of b are its
+	// neighbors one level closer to the source, in adjacency order, with
+	// their dense edge ids alongside. Built lazily — a node's adjacency is
+	// filtered the first time a target walk reaches it, memoized for the
+	// source's remaining targets via pstamp — so with sampled pair universes
+	// only the ancestors of sampled targets ever pay an adjacency scan.
 	pstamp   graph.Stamp
 	predLo   []int32 // b's pred arcs are predAdj[predLo[b]:predHi[b]]
 	predHi   []int32 // valid only where pstamp has seen b
 	predAdj  []int32 // fixed length m per source; predN is the fill cursor
 	predEdge []uint32
 	predN    int32
-	// stream is the fused per-edge entry store of the single-worker batched
-	// route, replacing the linear entry log plus coverValues' counting sort.
-	stream *edgeStream
 	// Product-space traversal buffers for policy sweeps, reused through
 	// policy.ProductCountsInto (reset via porder, so they carry their own
-	// zero-at-rest invariant).
+	// zero-at-rest invariant), and a strip's product-space start states.
 	pdist  []int32
 	psigma []float64
 	porder []int32
+	psrc   []int32
 }
 
 var sweepPool = ball.NewPool(func() *sweepScratch {
 	return &sweepScratch{bfs: graph.NewBFSScratch()}
 })
 
-// The sweep and cover workspaces hold the pair-entry universe — hundreds of
-// megabytes on the bigger networks — so a few survive collections instead of
-// being refaulted in every suite run.
+// A few workspaces survive collections instead of being refaulted in every
+// suite run; the entry chunks themselves live on the store's free list.
 func init() {
 	sweepPool.Keep(2)
 	coverPool.Keep(1)
@@ -336,220 +237,83 @@ func grownZero(b []float64, n int) []float64 {
 	return b[:n]
 }
 
-// sigmaPlan sizes the batched route: strip width from the pending sources
-// like ball.CumProfiles (never starving the pool), worker count capped at
-// the strip count, and the routing counters recorded. Returns width 0 on
-// the scalar route.
-func sigmaPlan(opts *Options, numSources, workers int, batched bool) (width, strips, w int) {
+// sigmaPlan sizes the sweeps: on the batched route, the strip width from
+// the pending sources like ball.CumProfiles (never starving the pool) and
+// the worker count capped at the strip count; on the scalar route width 0.
+// The routing counters are recorded either way.
+func sigmaPlan(opts *Options, numSources, workers int, batched bool) (width, w int) {
 	if !batched {
 		opts.Metrics.Counter("hierarchy.sigma_scalar").Add(int64(numSources))
-		return 0, 0, workers
+		return 0, workers
 	}
 	width = ball.BatchWidth(numSources, workers)
-	strips = (numSources + width - 1) / width
-	if workers > strips {
-		workers = strips
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	strips := (numSources + width - 1) / width
 	opts.Metrics.Gauge("hierarchy.sigma_width").Set(int64(width))
 	opts.Metrics.Counter("hierarchy.sigma_batches").Add(int64(strips))
-	return width, strips, workers
+	return width, max(min(workers, strips), 1)
 }
 
 // LinkValues computes link values under shortest-path routing. Source
 // sweeps run concurrently (the graph is immutable; each worker owns its
 // leased scratch) and, on low-diameter graphs, in bit-parallel sigma
 // batches — one CSR sweep per mask strip of up to graph.MSBFSMaxWidth
-// sources instead of one scalar BFS each. The canonical entry ordering in
-// coverValues makes the result independent of scheduling, and path counts
+// sources instead of one scalar BFS each. The cover pass reads every
+// edge's pairs in canonical order whatever the scheduling, and path counts
 // are exact integers in float64 on the batched route, so the values are
 // byte-identical across worker counts and sigma modes.
 func LinkValues(g *graph.Graph, opts Options) *Result {
 	opts.defaults()
-	edges := g.Edges()
-	ix := graph.NewEdgeIndex(g)
-	sources, inQ := sampleSources(g.NumNodes(), opts)
+	sources := sampleSources(g.NumNodes(), opts)
 	opts.Metrics.Counter("hierarchy.link_value_sweeps").Add(int64(len(sources)))
-
-	n := g.NumNodes()
-	width, strips, workers := sigmaPlan(&opts, len(sources), opts.workers(len(sources)), opts.sigmaRoute(g))
-	var arcIDs []uint32
-	if width > 0 {
-		arcIDs = ix.ArcIDs() // shared, read-only across workers
-	}
-	if width > 0 && workers == 1 {
-		// Fused single-worker batched route: one worker sweeps sources in
-		// ascending order, so entries can stream straight into per-edge
-		// groups (edgeStream) in canonical order — no linear entry log, no
-		// counting sort, no replay. This is the route reproduce -j 1 takes
-		// on the paper's low-diameter families.
-		ws := sweepPool.Get()
-		defer sweepPool.Put(ws)
-		ws.gval = grownZero(ws.gval, n)
-		if ws.msbfs == nil {
-			ws.msbfs = graph.NewMSBFSScratch()
-		}
-		if ws.stream == nil {
-			ws.stream = &edgeStream{}
-		}
-		es := ws.stream
-		es.reset(len(edges))
-		off, adj := g.CSR()
-		for k := 0; k < strips; k++ {
-			lo := k * width
-			hi := min(lo+width, len(sources))
-			strip := sources[lo:hi]
-			ws.msbfs.RunSigma(g, strip)
-			for j, u := range strip {
-				dist, sigma := ws.msbfs.DistRow(j), ws.msbfs.SigmaRow(j)
-				ws.beginPreds(n, len(edges))
-				fs := newFastSweep(off, adj, arcIDs, dist, sigma, ws)
-				for t := int32(0); t < int32(n); t++ {
-					if t == u || !inQ[t] {
-						continue
-					}
-					d := dist[t]
-					if d <= 0 || d == graph.Unreached {
-						continue
-					}
-					sweepTargetStream(u, t, int(d), fs, ws, es)
-				}
-			}
-		}
-		values := coverValuesStream(len(edges), n, es)
-		return &Result{Edges: edges, Values: values, N: len(sources), Nodes: n}
-	}
-	perWorker := make([][]pairEntry, workers)
-	perEnds := make([][]int, workers)
-	perSrc := make([][]int, workers)
-	wss := make([]*sweepScratch, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ws := sweepPool.Get()
-			wss[w] = ws
-			ws.gval = grownZero(ws.gval, n)
-			entries := ws.entries[:0]
-			var ends, srcIdx []int
-			// Per-target ancestor sweeps run over the pair universe in
-			// ascending target order so each source's entry block comes out
-			// (t)-sorted — coverValues' canonical-order contract. perSrc
-			// records each block's global source index for the replay.
-			sweepSource := func(u int32, si int, fs *fastSweep, dist []int32, sigma []float64, dt func(int32) int32) {
-				for t := int32(0); t < int32(n); t++ {
-					if t == u || !inQ[t] {
-						continue
-					}
-					d := dt(t)
-					if d <= 0 || d == graph.Unreached {
-						continue
-					}
-					if fs != nil {
-						entries = sweepTargetFast(u, t, int(d), fs, ws, entries)
-					} else {
-						entries = sweepTarget(g, u, t, int(d), ix, ws, entries, dist, sigma)
-					}
-				}
-				ends = append(ends, len(entries))
-				srcIdx = append(srcIdx, si)
-			}
-			if width > 0 {
-				if ws.msbfs == nil {
-					ws.msbfs = graph.NewMSBFSScratch()
-				}
-				off, adj := g.CSR()
-				for k := w; k < strips; k += workers {
-					lo := k * width
-					hi := min(lo+width, len(sources))
-					strip := sources[lo:hi]
-					ws.msbfs.RunSigma(g, strip)
-					for j, u := range strip {
-						dist, sigma := ws.msbfs.DistRow(j), ws.msbfs.SigmaRow(j)
-						// RunSigma pre-fills the rows, so raw reads are safe —
-						// both for the target gate and the pred build.
-						ws.beginPreds(n, len(edges))
-						fs := newFastSweep(off, adj, arcIDs, dist, sigma, ws)
-						sweepSource(u, lo+j, fs, dist, sigma, func(t int32) int32 { return dist[t] })
-					}
-				}
-			} else {
-				for i := w; i < len(sources); i += workers {
-					u := sources[i]
-					ws.bfs.Counts(g, u)
-					dist, sigma := ws.bfs.Rows()
-					// The raw rows are stale at unreached nodes, so the
-					// target gate reads the epoch-guarded accessor; inside
-					// the ancestor DAG every node is reached.
-					sweepSource(u, i, nil, dist, sigma, ws.bfs.Dist)
-				}
-			}
-			ws.entries = entries
-			perWorker[w] = entries
-			perEnds[w] = ends
-			perSrc[w] = srcIdx
-		}(w)
-	}
-	wg.Wait()
-	values := coverValues(len(edges), n, perWorker, perEnds, perSrc)
-	for _, ws := range wss {
-		sweepPool.Put(ws)
-	}
-	return &Result{Edges: edges, Values: values, N: len(sources), Nodes: n}
+	run := sweepLinks(g, sources, &opts)
+	defer run.release()
+	values := run.cover(g.NumEdges(), len(sources), &opts)
+	return &Result{Edges: g.Edges(), Values: values, N: len(sources), Nodes: g.NumNodes()}
 }
 
-// sweepTarget walks target t's shortest-path ancestor DAG from source u,
-// computing per-edge path fractions (g values) and appending pair entries.
-// Distances and path counts are passed as raw source rows — either
-// ws.bfs.Rows() after a scalar Counts traversal or a DistRow/SigmaRow pair
-// from a sigma batch; both carry identical values, so the emitted entry
-// stream is byte-identical across routes. dt is t's (caller-gated, > 0 and
-// reached) distance; inside the DAG every node is reached, so raw row reads
-// need no epoch guard. gval/touched/buckets are reused across targets (gval
-// zeroed via touched).
-func sweepTarget(g *graph.Graph, u, t int32, dt int, ix *graph.EdgeIndex,
-	ws *sweepScratch, entries []pairEntry, dist []int32, sigma []float64) []pairEntry {
-
-	// Ensure bucket capacity.
-	for len(ws.buckets) <= dt {
-		ws.buckets = append(ws.buckets, nil)
-	}
-	bs := ws.buckets
-	for d := 0; d <= dt; d++ {
-		bs[d] = bs[d][:0]
-	}
-	ws.gval[t] = 1
-	ws.touched = append(ws.touched[:0], t)
-	bs[dt] = append(bs[dt], t)
-	for d := dt; d >= 1; d-- {
-		for _, b := range bs[d] {
-			gb := ws.gval[b]
-			for _, a := range g.Neighbors(b) {
-				if dist[a] != int32(d-1) {
+// sweepLinks runs the shortest-path walks of every sampled pair into the
+// workers' entry stores. Both traversals feed the same walk: a sigma strip
+// fills exact rows for a batch of sources, a scalar counting BFS fills rows
+// that are stale only at unreached nodes — the target gate reads those
+// through the epoch-guarded accessor, and the walk itself never reads them
+// (every neighbor of a reached node is reached).
+func sweepLinks(g *graph.Graph, sources []int32, opts *Options) sweepRun {
+	n, m := g.NumNodes(), g.NumEdges()
+	width, workers := sigmaPlan(opts, len(sources), opts.workers(len(sources)), opts.sigmaRoute(g))
+	off, adj := g.CSR()
+	arcIDs := graph.NewEdgeIndex(g).ArcIDs() // shared, read-only across workers
+	return runSweeps(len(sources), width, workers, m, func(ws *sweepScratch, lo, hi int) {
+		ws.gval = grownZero(ws.gval, n)
+		if width > 0 {
+			ws.msbfs.RunSigma(g, sources[lo:hi])
+		}
+		for i := lo; i < hi; i++ {
+			var dist []int32
+			var sigma []float64
+			if width > 0 {
+				dist, sigma = ws.msbfs.DistRow(i-lo), ws.msbfs.SigmaRow(i-lo)
+			} else {
+				ws.bfs.Counts(g, sources[i])
+				dist, sigma = ws.bfs.Rows()
+			}
+			ws.beginPreds(n, m)
+			fs := sourceSweep{off: off, adj: adj, arcIDs: arcIDs, dist: dist, sigma: sigma,
+				predAdj: ws.predAdj, predEdge: ws.predEdge}
+			// Ascending targets keep each source's entries (t)-sorted.
+			for ti, t := range sources {
+				var d int32
+				if width > 0 {
+					d = dist[t]
+				} else {
+					d = ws.bfs.Dist(t)
+				}
+				if ti == i || d <= 0 || d == graph.Unreached {
 					continue
 				}
-				frac := gb * sigma[a] / sigma[b]
-				entries = append(entries, pairEntry{
-					edge: uint32(ix.ID(a, b)), u: u, t: t, w: frac,
-				})
-				if ws.gval[a] == 0 {
-					// First touch: schedule and track for reset.
-					ws.touched = append(ws.touched, a)
-					if d-1 >= 1 {
-						bs[d-1] = append(bs[d-1], a)
-					}
-				}
-				ws.gval[a] += frac
+				ws.sweepTarget(&fs, t, int(d), uint32(i), uint32(ti))
 			}
 		}
-	}
-	for _, v := range ws.touched {
-		ws.gval[v] = 0
-	}
-	return entries
+	})
 }
 
 // beginPreds resets the lazy predecessor state for a new source: one epoch
@@ -558,7 +322,7 @@ func sweepTarget(g *graph.Graph, u, t int32, dt int, ix *graph.EdgeIndex,
 // front: an undirected edge is a pred arc in at most one direction per
 // source (its endpoints' distances differ by at most one), so m bounds a
 // source's total pred-arc count and the buffers never reallocate — which
-// lets fastSweep hold them as stable slices the hot loops read without
+// lets sourceSweep hold them as stable slices the hot loops read without
 // reloading.
 func (ws *sweepScratch) beginPreds(n, m int) {
 	ws.pstamp.Begin(n)
@@ -573,13 +337,10 @@ func (ws *sweepScratch) beginPreds(n, m int) {
 	ws.predN = 0
 }
 
-// fastSweep bundles one source's immutable sweep inputs — the graph CSR,
-// the arc-id table, the source's exact distance/path-count rows (the sigma
-// batch pre-fills its rows, so every node reads Unreached or a true
-// distance; the scalar route's stale rows must not be fed here), and the
-// source's pred-arc buffers (stable for the source's lifetime, see
-// beginPreds).
-type fastSweep struct {
+// sourceSweep bundles one source's immutable walk inputs: the graph CSR,
+// the arc-id table, the source's distance/path-count rows, and its pred-arc
+// buffers (stable for the source's lifetime, see beginPreds).
+type sourceSweep struct {
 	off, adj []int32
 	arcIDs   []uint32
 	dist     []int32
@@ -588,21 +349,13 @@ type fastSweep struct {
 	predEdge []uint32
 }
 
-func newFastSweep(off, adj []int32, arcIDs []uint32, dist []int32, sigma []float64,
-	ws *sweepScratch) *fastSweep {
-	return &fastSweep{
-		off: off, adj: adj, arcIDs: arcIDs, dist: dist, sigma: sigma,
-		predAdj: ws.predAdj, predEdge: ws.predEdge,
-	}
-}
-
 // buildPreds filters b's adjacency into its predecessor range. The lists
 // come out in adjacency order whatever the target order, so the emitted
-// entry stream stays canonical. Callers open-code the memoization check —
+// entry order is fixed. Callers open-code the memoization check —
 // `if ws.pstamp.Visit(b) { fs.buildPreds(b, ws) }` — so the per-visit fast
 // path (an inlined epoch compare plus two range loads) never pays a call;
 // only first touches enter here.
-func (fs *fastSweep) buildPreds(b int32, ws *sweepScratch) {
+func (fs *sourceSweep) buildPreds(b int32, ws *sweepScratch) {
 	base := fs.off[b]
 	want := fs.dist[b] - 1
 	k := ws.predN
@@ -617,20 +370,20 @@ func (fs *fastSweep) buildPreds(b int32, ws *sweepScratch) {
 	ws.predN = k
 }
 
-// sweepTargetFast is sweepTarget over the lazy predecessor lists: same
-// bucket walk, same g-value recurrence, same entry order (pred lists
-// preserve adjacency order) and bit-identical arithmetic (sigma[b] is
-// merely hoisted out of the arc loop), touching only the DAG arcs that
-// emit entries instead of every adjacency arc of every ancestor.
+// sweepTarget walks target t's shortest-path ancestor DAG from distance dt
+// back to the source, computing per-edge path fractions (g values) and
+// emitting one entry per DAG arc for the pair (ui, ti) of sample indices.
+// Each node enters its level bucket once and each pred arc is walked once,
+// so an edge appears at most once per pair. gval/touched/buckets are reused
+// across targets (gval zeroed via touched).
 //
 // When the pair has a unique shortest path (sigma[t] == 1), the ancestor
 // DAG is a single chain — every node on it also has path count 1, hence
 // exactly one pred — and every fraction is exactly 1*1/1 = 1, so the walk
 // degenerates to following single pred links with no g-value bookkeeping.
 // Entry order and float values are identical to the general walk's.
-func sweepTargetFast(u, t int32, dt int, fs *fastSweep, ws *sweepScratch,
-	entries []pairEntry) []pairEntry {
-
+func (ws *sweepScratch) sweepTarget(fs *sourceSweep, t int32, dt int, ui, ti uint32) {
+	st := &ws.store
 	sigma := fs.sigma
 	if sigma[t] == 1 {
 		b := t
@@ -639,95 +392,14 @@ func sweepTargetFast(u, t int32, dt int, fs *fastSweep, ws *sweepScratch,
 				fs.buildPreds(b, ws)
 			}
 			lo := ws.predLo[b]
-			entries = append(entries, pairEntry{
-				edge: fs.predEdge[lo], u: u, t: t, w: 1,
-			})
-			b = fs.predAdj[lo]
-		}
-		return entries
-	}
-	for len(ws.buckets) <= dt {
-		ws.buckets = append(ws.buckets, nil)
-	}
-	bs := ws.buckets
-	for d := 0; d <= dt; d++ {
-		bs[d] = bs[d][:0]
-	}
-	ws.gval[t] = 1
-	ws.touched = append(ws.touched[:0], t)
-	bs[dt] = append(bs[dt], t)
-	for d := dt; d >= 1; d-- {
-		for _, b := range bs[d] {
-			gb := ws.gval[b]
-			sb := sigma[b]
-			if ws.pstamp.Visit(b) {
-				fs.buildPreds(b, ws)
-			}
-			lo, hi := ws.predLo[b], ws.predHi[b]
-			for i := lo; i < hi; i++ {
-				a := fs.predAdj[i]
-				frac := gb * sigma[a] / sb
-				entries = append(entries, pairEntry{
-					edge: fs.predEdge[i], u: u, t: t, w: frac,
-				})
-				if ws.gval[a] == 0 {
-					ws.touched = append(ws.touched, a)
-					if d-1 >= 1 {
-						bs[d-1] = append(bs[d-1], a)
-					}
-				}
-				ws.gval[a] += frac
-			}
-		}
-	}
-	for _, v := range ws.touched {
-		ws.gval[v] = 0
-	}
-	return entries
-}
-
-// sweepTargetStream is sweepTargetFast emitting into an edgeStream instead
-// of the linear entry log: same walk, same arithmetic, same per-pair entry
-// order — only the destination differs, each entry landing directly in its
-// edge's group. Sources (ascending) and targets (ascending per source) are
-// swept in canonical order by the single worker that uses this variant, so
-// every group accumulates exactly the sequence the counting sort would
-// hand edgeCover.
-func sweepTargetStream(u, t int32, dt int, fs *fastSweep, ws *sweepScratch,
-	es *edgeStream) {
-
-	sigma := fs.sigma
-	// The stream emission fast path is open-coded (the grow call pushes a
-	// method past the inliner's budget). cur never moves during a sweep;
-	// data is reloaded after any grow, which may reallocate the arena.
-	cur, data := es.cur, es.data
-	if sigma[t] == 1 {
-		b := t
-		for d := dt; d >= 1; d-- {
-			if ws.pstamp.Visit(b) {
-				fs.buildPreds(b, ws)
-			}
-			lo := ws.predLo[b]
-			e := fs.predEdge[lo]
-			bkt := e >> coverBucketShift
-			if c := cur[bkt]; c&(bucketChunk-1) != 0 {
-				data[c] = pairEntry{edge: e, u: u, t: t, w: 1}
-				cur[bkt] = c + 1
-			} else {
-				es.grow(bkt, pairEntry{edge: e, u: u, t: t, w: 1})
-				data = es.data
+			if bk, x := st.pack(fs.predEdge[lo], ui, ti, 1); !st.push(bk, x) {
+				st.grow(bk, x)
 			}
 			b = fs.predAdj[lo]
 		}
 		return
 	}
-	for len(ws.buckets) <= dt {
-		ws.buckets = append(ws.buckets, nil)
-	}
-	bs := ws.buckets
-	for d := 0; d <= dt; d++ {
-		bs[d] = bs[d][:0]
-	}
+	bs := ws.levelBuckets(dt)
 	ws.gval[t] = 1
 	ws.touched = append(ws.touched[:0], t)
 	bs[dt] = append(bs[dt], t)
@@ -738,20 +410,14 @@ func sweepTargetStream(u, t int32, dt int, fs *fastSweep, ws *sweepScratch,
 			if ws.pstamp.Visit(b) {
 				fs.buildPreds(b, ws)
 			}
-			lo, hi := ws.predLo[b], ws.predHi[b]
-			for i := lo; i < hi; i++ {
+			for i := ws.predLo[b]; i < ws.predHi[b]; i++ {
 				a := fs.predAdj[i]
 				frac := gb * sigma[a] / sb
-				e := fs.predEdge[i]
-				bkt := e >> coverBucketShift
-				if c := cur[bkt]; c&(bucketChunk-1) != 0 {
-					data[c] = pairEntry{edge: e, u: u, t: t, w: frac}
-					cur[bkt] = c + 1
-				} else {
-					es.grow(bkt, pairEntry{edge: e, u: u, t: t, w: frac})
-					data = es.data
+				if bk, x := st.pack(fs.predEdge[i], ui, ti, frac); !st.push(bk, x) {
+					st.grow(bk, x)
 				}
 				if ws.gval[a] == 0 {
+					// First touch: schedule and track for reset.
 					ws.touched = append(ws.touched, a)
 					if d-1 >= 1 {
 						bs[d-1] = append(bs[d-1], a)
@@ -766,213 +432,39 @@ func sweepTargetStream(u, t int32, dt int, fs *fastSweep, ws *sweepScratch,
 	}
 }
 
-// sampleSources returns the pair-universe node set Q and its membership
-// mask. The set is returned in ascending node order: the sweeps emit entry
-// blocks in source order, and coverValues relies on that order being
-// ascending u to reach the canonical (edge, u, t) grouping without a sort.
+// levelBuckets returns the walk's per-level node buckets 0..dt, emptied.
+func (ws *sweepScratch) levelBuckets(dt int) [][]int32 {
+	for len(ws.buckets) <= dt {
+		ws.buckets = append(ws.buckets, nil)
+	}
+	bs := ws.buckets
+	for d := 0; d <= dt; d++ {
+		bs[d] = bs[d][:0]
+	}
+	return bs
+}
+
+// sampleSources returns the pair-universe node set Q in ascending node
+// order. A node's position in it is its sample index, the id the entry
+// store records: ascending order makes sample-index order node order, so
+// the cover reaches the canonical (edge, u, t) grouping without a
+// comparison sort.
 // (Which nodes are sampled depends only on the Rand stream, not the order.)
-func sampleSources(n int, opts Options) ([]int32, []bool) {
-	inQ := make([]bool, n)
+func sampleSources(n int, opts Options) []int32 {
 	if opts.MaxSources <= 0 || opts.MaxSources >= n {
 		all := make([]int32, n)
 		for i := range all {
 			all[i] = int32(i)
-			inQ[i] = true
 		}
-		return all, inQ
+		return all
 	}
 	perm := opts.Rand.Perm(n)
 	out := make([]int32, opts.MaxSources)
 	for i := range out {
 		out[i] = int32(perm[i])
-		inQ[out[i]] = true
 	}
 	slices.Sort(out)
-	return out, inQ
-}
-
-// coverValues groups the pair entries by edge, computes per-node traversal
-// weights W(x,e) (the average pair fraction over the pairs containing x),
-// and runs the primal-dual weighted vertex cover per edge.
-//
-// The grouping is a single stable counting sort on the dense edge ids. Its
-// input-order contract makes that sufficient for the canonical (edge, u, t)
-// order the order-dependent primal-dual needs: each worker's entry list is a
-// sequence of per-source blocks, blocks are (t)-ascending inside (the sweeps
-// iterate targets in node order), the global source sequence is
-// (u)-ascending (sampleSources sorts it), perEnds[w][k] records where worker
-// w's k-th block ends, and perSrc[w][k] which global source index it holds.
-// Replaying the blocks in ascending global source order feeds the scatter an
-// (u, t)-sorted stream, and stability plus unique (edge, u, t) keys land
-// every group fully sorted, with no comparison sort anywhere. The explicit
-// perSrc map is what lets the scalar route (sources striped one at a time)
-// and the sigma route (sources striped in whole mask strips) share one
-// replay with identical output.
-func coverValues(numEdges, numNodes int, perWorker [][]pairEntry,
-	perEnds [][]int, perSrc [][]int) []float64 {
-
-	total := 0
-	numSources := 0
-	for w, es := range perWorker {
-		total += len(es)
-		numSources += len(perEnds[w])
-	}
-	ws := coverPool.Get()
-	defer coverPool.Put(ws)
-	ws.ensure(numNodes)
-	off := growInt(ws.off, numEdges+1)
-	clear(off)
-	ws.off = off
-	for _, es := range perWorker {
-		for i := range es {
-			off[es[i].edge+1]++
-		}
-	}
-	for e := 0; e < numEdges; e++ {
-		off[e+1] += off[e]
-	}
-	cur := growInt(ws.keys, numEdges)
-	ws.keys = cur
-	copy(cur, off[:numEdges])
-	sorted := growPairs(ws.sortA, total)
-	ws.sortA = sorted
-	blockW := growInt(ws.blockW, numSources)
-	ws.blockW = blockW
-	blockK := growInt(ws.blockK, numSources)
-	ws.blockK = blockK
-	for w, srcs := range perSrc {
-		for k, si := range srcs {
-			blockW[si], blockK[si] = w, k
-		}
-	}
-	for si := 0; si < numSources; si++ {
-		w, k := blockW[si], blockK[si]
-		start := 0
-		if k > 0 {
-			start = perEnds[w][k-1]
-		}
-		for _, p := range perWorker[w][start:perEnds[w][k]] {
-			sorted[cur[p.edge]] = coverEntry{u: p.u, t: p.t, w: p.w}
-			cur[p.edge]++
-		}
-	}
-	values := make([]float64, numEdges)
-	for e := 0; e < numEdges; e++ {
-		group := sorted[off[e]:off[e+1]]
-		if len(group) == 0 {
-			continue
-		}
-		values[e] = edgeCover(group, ws)
-	}
-	return values
-}
-
-// coverValuesStream is coverValues over a bucket-partitioned edgeStream:
-// one bucket at a time, its log is counting-sorted by edge (stable, so each
-// group keeps the canonical emission order) into a cache-resident buffer
-// and the groups handed to the same edgeCover. The values are byte-identical
-// to the global counting-sort path's.
-func coverValuesStream(numEdges, numNodes int, es *edgeStream) []float64 {
-	ws := coverPool.Get()
-	defer coverPool.Put(ws)
-	ws.ensure(numNodes)
-	values := make([]float64, numEdges)
-	const be = 1 << coverBucketShift
-	var cnt [be + 1]int32
-	for b := range es.heads {
-		if es.heads[b] < 0 {
-			continue
-		}
-		lo := uint32(b) << coverBucketShift
-		for i := range cnt {
-			cnt[i] = 0
-		}
-		total := 0
-		for ci := es.heads[b]; ci >= 0; ci = es.next[ci] {
-			base := ci * bucketChunk
-			end := base + bucketChunk
-			if ci == es.tails[b] {
-				end = es.cur[b]
-			}
-			seg := es.data[base:end]
-			total += len(seg)
-			for i := range seg {
-				cnt[seg[i].edge-lo+1]++
-			}
-		}
-		for i := 0; i < be; i++ {
-			cnt[i+1] += cnt[i]
-		}
-		sorted := growPairs(ws.sortA, total)
-		for ci := es.heads[b]; ci >= 0; ci = es.next[ci] {
-			base := ci * bucketChunk
-			end := base + bucketChunk
-			if ci == es.tails[b] {
-				end = es.cur[b]
-			}
-			seg := es.data[base:end]
-			for i := range seg {
-				p := &seg[i]
-				c := p.edge - lo
-				sorted[cnt[c]] = coverEntry{u: p.u, t: p.t, w: p.w}
-				cnt[c]++
-			}
-		}
-		ws.sortA = sorted
-		// cnt[c] now ends group c (the scatter advanced each slot to its
-		// successor's start).
-		start := int32(0)
-		for c := 0; c < be; c++ {
-			group := sorted[start:cnt[c]]
-			start = cnt[c]
-			if len(group) == 0 {
-				continue
-			}
-			values[lo+uint32(c)] = edgeCover(group, ws)
-		}
-	}
-	return values
-}
-
-// coverScratch is the vertex-cover workspace: node-indexed accumulators
-// reset through the group's node list, so one edge's cover costs O(pairs)
-// with no hashing. Leased through the unified ball.Pool layer.
-type coverScratch struct {
-	sum      []float64
-	weight   []float64
-	residual []float64
-	cnt      []int32
-	localIdx []int32
-	inCover  []bool
-
-	nodes      []int32 // distinct nodes of the current group, first-touch order
-	coverOrder []int32
-	plists     [][]int32 // per-cover-slot partner lists (capacities persist)
-
-	// coverValues' counting-sort buffers, pooled (and kept, via Keep) so the
-	// per-suite-run transient allocations — the sorted entry universe is the
-	// largest single buffer in the pipeline — and their kernel page-fault
-	// cost happen once instead of every call.
-	sortA []coverEntry
-	keys  []int
-	off   []int
-	// Block replay map: blockW/blockK[si] locate global source si's entry
-	// block (worker, block index) for the canonical-order scatter.
-	blockW []int
-	blockK []int
-}
-
-var coverPool = ball.NewPool(func() *coverScratch { return &coverScratch{} })
-
-func (ws *coverScratch) ensure(n int) {
-	if len(ws.sum) < n {
-		ws.sum = make([]float64, n)
-		ws.weight = make([]float64, n)
-		ws.residual = make([]float64, n)
-		ws.cnt = make([]int32, n)
-		ws.localIdx = make([]int32, n)
-		ws.inCover = make([]bool, n)
-	}
+	return out
 }
 
 func growI32(b []int32, n int) []int32 {
@@ -980,133 +472,4 @@ func growI32(b []int32, n int) []int32 {
 		return make([]int32, n)
 	}
 	return b[:n]
-}
-
-func growInt(b []int, n int) []int {
-	if cap(b) < n {
-		return make([]int, n)
-	}
-	return b[:n]
-}
-
-func growPairs(b []coverEntry, n int) []coverEntry {
-	if cap(b) < n {
-		return make([]coverEntry, n)
-	}
-	return b[:n]
-}
-
-// edgeCover computes one edge's link value from its canonically ordered
-// pair entries: the primal-dual (local-ratio) weighted vertex cover of the
-// traversal-set bipartite graph, followed by a reverse-order redundancy
-// prune that removes cover nodes whose pairs are all covered by other cover
-// nodes (without the prune, ties double access-link values). Every float
-// accumulation runs in the entries' canonical order, so the value is
-// bit-deterministic across runs and worker counts.
-func edgeCover(pairs []coverEntry, ws *coverScratch) float64 {
-	nodes := ws.nodes[:0]
-	for _, p := range pairs {
-		if ws.cnt[p.u] == 0 {
-			nodes = append(nodes, p.u)
-		}
-		ws.sum[p.u] += p.w
-		ws.cnt[p.u]++
-		if ws.cnt[p.t] == 0 {
-			nodes = append(nodes, p.t)
-		}
-		ws.sum[p.t] += p.w
-		ws.cnt[p.t]++
-	}
-	return edgeCoverPrepared(pairs, nodes, ws)
-}
-
-// edgeCoverPrepared is edgeCover after the accumulation pass: the caller has
-// already folded every entry into ws.sum/ws.cnt (in canonical entry order)
-// and collected the group's distinct nodes in first-touch order — either via
-// edgeCover's own pass or fused into the stream gather's chunk copy.
-func edgeCoverPrepared(pairs []coverEntry, nodes []int32, ws *coverScratch) float64 {
-	for _, v := range nodes {
-		w := ws.sum[v] / float64(ws.cnt[v])
-		ws.weight[v] = w
-		ws.residual[v] = w
-	}
-	coverOrder := ws.coverOrder[:0]
-	for _, p := range pairs {
-		u, t := p.u, p.t
-		if ws.inCover[u] || ws.inCover[t] {
-			continue
-		}
-		ru, rt := ws.residual[u], ws.residual[t]
-		m := ru
-		if rt < m {
-			m = rt
-		}
-		ws.residual[u] = ru - m
-		ws.residual[t] = rt - m
-		if ws.residual[u] <= 1e-12 {
-			ws.inCover[u] = true
-			coverOrder = append(coverOrder, u)
-		}
-		if t != u && ws.residual[t] <= 1e-12 {
-			ws.inCover[t] = true
-			coverOrder = append(coverOrder, t)
-		}
-	}
-	// Redundancy prune. A lone cover node can never be removed — its
-	// partners are by construction outside the cover — so the partner-list
-	// machinery only runs for multi-node covers. Each cover node gets a
-	// local slot with an append-grown partner list (slot capacities persist
-	// across groups through the scratch), built in one pass over the pairs;
-	// only cover nodes are slotted, so slot setup is O(|cover|), not
-	// O(|nodes|).
-	if len(coverOrder) > 1 {
-		nc := len(coverOrder)
-		for len(ws.plists) < nc {
-			ws.plists = append(ws.plists, nil)
-		}
-		pl := ws.plists
-		for i, v := range coverOrder {
-			ws.localIdx[v] = int32(i)
-			pl[i] = pl[i][:0]
-		}
-		for _, p := range pairs {
-			if ws.inCover[p.u] {
-				li := ws.localIdx[p.u]
-				pl[li] = append(pl[li], p.t)
-			}
-			if ws.inCover[p.t] {
-				li := ws.localIdx[p.t]
-				pl[li] = append(pl[li], p.u)
-			}
-		}
-		for i := nc - 1; i >= 0; i-- {
-			removable := true
-			for _, w := range pl[i] {
-				if !ws.inCover[w] {
-					removable = false
-					break
-				}
-			}
-			if removable {
-				ws.inCover[coverOrder[i]] = false
-			}
-		}
-	}
-	// Sum in coverOrder (not node order) so the float accumulation matches
-	// the cover construction exactly.
-	value := 0.0
-	for _, v := range coverOrder {
-		if ws.inCover[v] {
-			value += ws.weight[v]
-		}
-	}
-	// Restore the zero-at-rest invariant for the next group.
-	for _, v := range nodes {
-		ws.sum[v] = 0
-		ws.cnt[v] = 0
-		ws.inCover[v] = false
-	}
-	ws.nodes = nodes
-	ws.coverOrder = coverOrder
-	return value
 }

@@ -1,8 +1,6 @@
 package hierarchy
 
 import (
-	"sync"
-
 	"topocmp/internal/graph"
 	"topocmp/internal/policy"
 )
@@ -21,119 +19,72 @@ import (
 func PolicyLinkValues(a *policy.Annotated, opts Options) *Result {
 	opts.defaults()
 	g := a.G
-	edges := g.Edges()
 	ix := graph.NewEdgeIndex(g)
-	sources, inQ := sampleSources(g.NumNodes(), opts)
+	n, m, ns := g.NumNodes(), g.NumEdges(), policy.NumStates
+	sources := sampleSources(n, opts)
 	opts.Metrics.Counter("hierarchy.policy_sweeps").Add(int64(len(sources)))
 
-	n := g.NumNodes()
-	ns := policy.NumStates
-	width, strips, workers := sigmaPlan(&opts, len(sources), opts.workers(len(sources)), opts.sigmaRoute(g))
+	width, workers := sigmaPlan(&opts, len(sources), opts.workers(len(sources)), opts.sigmaRoute(g))
 	var poff, padj []int32
 	if width > 0 {
 		poff, padj = a.ProductCSR()
 	}
-	perWorker := make([][]pairEntry, workers)
-	perEnds := make([][]int, workers)
-	perSrc := make([][]int, workers)
-	wss := make([]*sweepScratch, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ws := sweepPool.Get()
-			wss[w] = ws
-			ws.gval = grownZero(ws.gval, n*ns)
-			ws.localW = grownZero(ws.localW, len(edges))
-			entries := ws.entries[:0]
-			var ends, srcIdx []int
-			// Per-node policy distance = min over states; ascending target
-			// order keeps each source block (t)-sorted for coverValues. Both
-			// routes hand in fully initialized product rows (the scalar
+	run := runSweeps(len(sources), width, workers, m, func(ws *sweepScratch, lo, hi int) {
+		ws.gval = grownZero(ws.gval, n*ns)
+		ws.localW = grownZero(ws.localW, m)
+		if width > 0 {
+			ws.psrc = ws.psrc[:0]
+			for _, u := range sources[lo:hi] {
+				ws.psrc = append(ws.psrc, policy.ProductStart(u))
+			}
+			ws.msbfs.RunSigmaCSR(n*ns, poff, padj, ws.psrc)
+		}
+		for i := lo; i < hi; i++ {
+			// Both routes hand in fully initialized product rows (the scalar
 			// buffers by their Unreached-reset invariant, the kernel rows by
 			// RunSigma's pre-fill), so the state scan reads them raw.
-			sweepSource := func(u int32, si int, dist []int32, sigma []float64) {
-				for t := int32(0); t < int32(n); t++ {
-					if t == u || !inQ[t] {
-						continue
-					}
-					pdist := graph.Unreached
-					for s := 0; s < ns; s++ {
-						if d := dist[int(t)*ns+s]; d < pdist {
-							pdist = d
-						}
-					}
-					if pdist == graph.Unreached || pdist == 0 {
-						continue
-					}
-					entries = sweepPolicyTarget(a, u, t, int(pdist), dist, sigma,
-						ix, ws, entries)
-				}
-				ends = append(ends, len(entries))
-				srcIdx = append(srcIdx, si)
-			}
+			var dist []int32
+			var sigma []float64
 			if width > 0 {
-				if ws.msbfs == nil {
-					ws.msbfs = graph.NewMSBFSScratch()
-				}
-				pn := n * ns
-				var psrc []int32
-				for k := w; k < strips; k += workers {
-					lo := k * width
-					hi := min(lo+width, len(sources))
-					strip := sources[lo:hi]
-					psrc = psrc[:0]
-					for _, u := range strip {
-						psrc = append(psrc, policy.ProductStart(u))
-					}
-					ws.msbfs.RunSigmaCSR(pn, poff, padj, psrc)
-					for j, u := range strip {
-						sweepSource(u, lo+j, ws.msbfs.DistRow(j), ws.msbfs.SigmaRow(j))
-					}
-				}
+				dist, sigma = ws.msbfs.DistRow(i-lo), ws.msbfs.SigmaRow(i-lo)
 			} else {
-				for i := w; i < len(sources); i += workers {
-					u := sources[i]
-					dist, sigma, order := a.ProductCountsInto(
-						ws.pdist, ws.psigma, ws.porder, u)
-					ws.pdist, ws.psigma, ws.porder = dist, sigma, order
-					sweepSource(u, i, dist, sigma)
-				}
+				ws.pdist, ws.psigma, ws.porder = a.ProductCountsInto(
+					ws.pdist, ws.psigma, ws.porder, sources[i])
+				dist, sigma = ws.pdist, ws.psigma
 			}
-			ws.entries = entries
-			perWorker[w] = entries
-			perEnds[w] = ends
-			perSrc[w] = srcIdx
-		}(w)
-	}
-	wg.Wait()
-	values := coverValues(len(edges), n, perWorker, perEnds, perSrc)
-	for _, ws := range wss {
-		sweepPool.Put(ws)
-	}
-	return &Result{Edges: edges, Values: values, N: len(sources), Nodes: g.NumNodes()}
+			// Per-node policy distance = min over states; ascending targets
+			// keep each source's entries (t)-sorted.
+			for ti, t := range sources {
+				pdist := graph.Unreached
+				for s := 0; s < ns; s++ {
+					pdist = min(pdist, dist[int(t)*ns+s])
+				}
+				if ti == i || pdist == graph.Unreached || pdist == 0 {
+					continue
+				}
+				sweepPolicyTarget(a, t, int(pdist), dist, sigma, ix, ws, uint32(i), uint32(ti))
+			}
+		}
+	})
+	defer run.release()
+	values := run.cover(m, len(sources), &opts)
+	return &Result{Edges: g.Edges(), Values: values, N: len(sources), Nodes: n}
 }
 
 // sweepPolicyTarget walks the product-space shortest-path ancestor DAG of
 // target t, distributing path fractions over the optimal arrival states and
 // aggregating per underlying edge (a product sweep can cross the same graph
-// edge in several states). The per-edge aggregation runs on the leased
+// edge in several states), then emits one entry per edge for the pair
+// (ui, ti) of sample indices. The per-edge aggregation runs on the leased
 // scratch's dense accumulators (localW, reset through localE) instead of a
 // per-target map.
-func sweepPolicyTarget(a *policy.Annotated, u, t int32, pdist int,
+func sweepPolicyTarget(a *policy.Annotated, t int32, pdist int,
 	dist []int32, sigma []float64, ix *graph.EdgeIndex,
-	ws *sweepScratch, entries []pairEntry) []pairEntry {
+	ws *sweepScratch, ui, ti uint32) {
 
 	g := a.G
 	ns := policy.NumStates
-	for len(ws.buckets) <= pdist {
-		ws.buckets = append(ws.buckets, nil)
-	}
-	bs := ws.buckets
-	for d := 0; d <= pdist; d++ {
-		bs[d] = bs[d][:0]
-	}
+	bs := ws.levelBuckets(pdist)
 	ws.touched = ws.touched[:0]
 	ws.localE = ws.localE[:0]
 	// Seed the optimal arrival states proportionally to their path counts.
@@ -145,7 +96,7 @@ func sweepPolicyTarget(a *policy.Annotated, u, t int32, pdist int,
 		}
 	}
 	if totalSigma == 0 {
-		return entries
+		return
 	}
 	for s := 0; s < ns; s++ {
 		st := int(t)*ns + s
@@ -192,8 +143,7 @@ func sweepPolicyTarget(a *policy.Annotated, u, t int32, pdist int,
 		ws.gval[st] = 0
 	}
 	for _, e := range ws.localE {
-		entries = append(entries, pairEntry{edge: e, u: u, t: t, w: ws.localW[e]})
+		ws.store.add(e, ui, ti, ws.localW[e])
 		ws.localW[e] = 0
 	}
-	return entries
 }

@@ -12,11 +12,12 @@ import (
 
 // TestLinkValueRaceShort is the tier-2 race target for the sigma-batched
 // link-value reroute: four sweep workers lease MSBFS workspaces from the
-// shared pool and accumulate pair entries concurrently, while sibling
+// shared pool and fill their entry stores concurrently, while sibling
 // goroutines drive more LinkValues and TraversalSetSizes calls through the
 // same pool. Every parallel result must stay bit-identical to the
-// sequential scalar reference — the canonical-order cover replay is what
-// makes that deterministic, and the race detector checks the leases.
+// sequential scalar reference — the cover's per-bucket merge of the
+// workers' entry chains is what makes that deterministic, and the race
+// detector checks the leases and the shared chunk free list.
 func TestLinkValueRaceShort(t *testing.T) {
 	g := plrg.MustGenerate(rand.New(rand.NewSource(41)), plrg.Params{N: 900, Beta: 2.246})
 	opts := func(mode hierarchy.SigmaMode, parallel int) hierarchy.Options {

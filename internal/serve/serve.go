@@ -305,6 +305,10 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown network %q", req.Network), http.StatusBadRequest)
 		return
 	}
+	if err := req.Suite.Validate(); err != nil {
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		return
+	}
 	cfg := experiments.Config{Set: req.Set, Suite: req.Suite}
 	key := experiments.SuiteKey(cfg, req.Network)
 	s.stamp(w, key)
@@ -426,13 +430,16 @@ func (s *Server) serveKeyed(w http.ResponseWriter, ctx context.Context, key, lab
 			f.body, err = marshalBody(v)
 		}
 		f.err = err
-		close(f.done)
+		// Release the admission slot (and evict a failed flight) before
+		// waking the waiters: a closed-loop client that sends its next
+		// request the moment this one answers must find the slot free.
 		s.mu.Lock()
 		s.inflight--
 		if err != nil && dedup {
 			delete(s.flights, key) // let a later request retry
 		}
 		s.mu.Unlock()
+		close(f.done)
 	}()
 	s.await(w, ctx, f, "computed")
 }

@@ -404,3 +404,88 @@ func TestServeBadRequests(t *testing.T) {
 		t.Fatalf("networks = %v", nets.Networks)
 	}
 }
+
+// TestServeBackToBackNoShed pins the admission slot's release order: a
+// computation frees its slot before it wakes its waiters, so a sequential
+// client at MaxInFlight=1 whose next request lands the moment the previous
+// one answers is never shed.
+func TestServeBackToBackNoShed(t *testing.T) {
+	ts := httptest.NewServer(New(Options{Workers: 1, MaxInFlight: 1}).Handler())
+	defer ts.Close()
+	for seed := int64(1); seed <= 200; seed++ {
+		body, err := json.Marshal(MetricRequest{
+			Network: "Tree", Set: quickSet(), Metric: "expansion", Sources: 2, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, _, out := postJSON(t, ts.URL+"/v1/metric", body)
+		if code != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", seed, code, out)
+		}
+	}
+}
+
+// TestServeRejectsBadTolerance checks that out-of-range removal fractions
+// are refused with 400 before any work starts, and that the daemon keeps
+// serving afterwards.
+func TestServeRejectsBadTolerance(t *testing.T) {
+	ts := httptest.NewServer(New(Options{Workers: 1}).Handler())
+	defer ts.Close()
+	for _, tol := range []string{"[1.5]", "[-0.1]", "[0.1,1.5]", "[NaN]"} {
+		body := `{"Network":"Tree","Suite":{"ToleranceFractions":` + tol + `}}`
+		code, _, out := postJSON(t, ts.URL+"/v1/suite", []byte(body))
+		if code != http.StatusBadRequest {
+			t.Errorf("ToleranceFractions %s: status %d, want 400 (%s)", tol, code, out)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after bad requests: %d", resp.StatusCode)
+	}
+}
+
+// TestServeReleasesSlotBeforeAnswer pins the same order deterministically:
+// while the server lock is held, a finished computation cannot answer its
+// waiter, and by the time it answers its admission slot is already free.
+func TestServeReleasesSlotBeforeAnswer(t *testing.T) {
+	s := New(Options{Workers: 1, MaxInFlight: 1})
+	release := make(chan struct{})
+	answered := make(chan struct{})
+	w := httptest.NewRecorder()
+	go func() {
+		defer close(answered)
+		s.serveKeyed(w, context.Background(), "k1", "x", noCache,
+			func(context.Context, int) (any, error) {
+				<-release
+				return &metricEntry{Network: "a"}, nil
+			})
+	}()
+	for { // wait for admission, then keep the lock
+		s.mu.Lock()
+		if s.inflight == 1 {
+			break
+		}
+		s.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	select {
+	case <-answered:
+		s.mu.Unlock()
+		t.Fatal("waiter answered while its admission slot was still counted")
+	case <-time.After(100 * time.Millisecond):
+	}
+	s.mu.Unlock()
+	<-answered
+	s.mu.Lock()
+	inflight := s.inflight
+	s.mu.Unlock()
+	if inflight != 0 || w.Code != http.StatusOK {
+		t.Fatalf("after answer: inflight = %d, status %d; want 0, 200", inflight, w.Code)
+	}
+}

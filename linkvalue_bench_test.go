@@ -33,9 +33,15 @@ var linkValueBench struct {
 	rows []linkValueBenchRow
 }
 
-// benchLinkValue runs fn b.N times with alloc accounting and records the row.
+// benchLinkValue runs fn b.N times with alloc accounting and records the
+// row. One untimed call first warms the pools, so the row is the steady
+// state a long-running process sees: the entry store's chunks are reused,
+// not re-made. ReportAllocs puts the same per-op alloc count on the
+// benchmark line, so cmd/benchdiff gates it against the committed row.
 func benchLinkValue(b *testing.B, g *graph.Graph, gname string, sources int, fn func()) {
 	b.Helper()
+	b.ReportAllocs()
+	fn()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -86,8 +92,9 @@ var linkValueNetsOnce struct {
 // linkValueBenchNets builds the benchmark's graph families once: the
 // acceptance workload RL (reduced to its core, exactly as the suite computes
 // link values), AS, and PLRG — plus Mesh, whose diameter sends the auto
-// route to the scalar fallback, so its pair of rows documents the fallback
-// costing nothing rather than a speedup.
+// route to the scalar traversal, so its two rows run the same code and
+// differ only by noise. Mesh is also the heaviest row by far: its long
+// shortest paths emit the most pair entries per source.
 func linkValueBenchNets() []*core.Network {
 	linkValueNetsOnce.Do(func() {
 		opts := core.PaperSetOptions{Seed: 1, Scale: 0.12}

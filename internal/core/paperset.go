@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"topocmp/internal/bgp"
@@ -64,6 +65,20 @@ func scaled(n int, scale float64, min int) int {
 		v = min
 	}
 	return v
+}
+
+// Validate rejects set options no network can be built from: Scale must
+// be finite and non-negative (zero picks the default) and AliasFailure a
+// probability in [0, 1]. Callers that accept options from outside the
+// process check them here before keying or building.
+func (o PaperSetOptions) Validate() error {
+	if math.IsNaN(o.Scale) || math.IsInf(o.Scale, 0) || o.Scale < 0 {
+		return fmt.Errorf("core: scale %v is not a finite non-negative value", o.Scale)
+	}
+	if math.IsNaN(o.AliasFailure) || o.AliasFailure < 0 || o.AliasFailure > 1 {
+		return fmt.Errorf("core: alias failure %v outside [0, 1]", o.AliasFailure)
+	}
+	return nil
 }
 
 // CacheKey returns a canonical description of the options for the result

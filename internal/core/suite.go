@@ -85,10 +85,26 @@ func (o *SuiteOptions) defaults() {
 	}
 }
 
-// Validate rejects options a suite run cannot compute: every tolerance
-// fraction must be a finite value in [0, 1]. Callers that accept options
-// from outside the process check them here before keying or running.
+// Validate rejects options a suite run cannot compute: the counts and caps
+// (Sources, MaxBallSize, EigenRank, LinkSources, SampleBudget) must not be
+// negative — zero picks the default — and every tolerance fraction must be
+// a finite value in [0, 1]. Callers that accept options from outside the
+// process check them here before keying or running.
 func (o SuiteOptions) Validate() error {
+	for _, c := range []struct {
+		name string
+		v    int
+	}{
+		{"Sources", o.Sources},
+		{"MaxBallSize", o.MaxBallSize},
+		{"EigenRank", o.EigenRank},
+		{"LinkSources", o.LinkSources},
+		{"SampleBudget", o.SampleBudget},
+	} {
+		if c.v < 0 {
+			return fmt.Errorf("core: %s %d is negative", c.name, c.v)
+		}
+	}
 	for _, f := range o.ToleranceFractions {
 		if math.IsNaN(f) || f < 0 || f > 1 {
 			return fmt.Errorf("core: tolerance fraction %v outside [0, 1]", f)

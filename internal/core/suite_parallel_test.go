@@ -88,4 +88,32 @@ func TestSuiteOptionsValidate(t *testing.T) {
 			t.Errorf("%v: accepted", bad)
 		}
 	}
+	for _, bad := range []SuiteOptions{
+		{Sources: -1}, {MaxBallSize: -1}, {EigenRank: -2}, {LinkSources: -384}, {SampleBudget: -1},
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%+v: accepted", bad)
+		}
+	}
+	if err := (SuiteOptions{Sources: 12, MaxBallSize: 1500, EigenRank: 20, LinkSources: 192}).Validate(); err != nil {
+		t.Errorf("quick suite options: unexpected error %v", err)
+	}
+}
+
+// TestPaperSetOptionsValidate pins the set range checks: Scale finite and
+// non-negative, AliasFailure a probability.
+func TestPaperSetOptionsValidate(t *testing.T) {
+	for _, ok := range []PaperSetOptions{{}, {Scale: 0.12, AliasFailure: 0.3}, {Scale: 1, AliasFailure: 1}} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("%+v: unexpected error %v", ok, err)
+		}
+	}
+	for _, bad := range []PaperSetOptions{
+		{Scale: -3}, {Scale: math.NaN()}, {Scale: math.Inf(1)},
+		{AliasFailure: -0.1}, {AliasFailure: 1.5}, {AliasFailure: math.NaN()},
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%+v: accepted", bad)
+		}
+	}
 }

@@ -42,8 +42,8 @@ func TestCutSizeGolden(t *testing.T) {
 
 // TestWorkspaceMatchesFresh interleaves one reused workspace across graphs
 // of different sizes and shapes and checks every answer against a fresh
-// one-shot computation: recycled level arenas, heaps and side buffers must
-// never leak state between calls.
+// one-shot computation: recycled level arenas, gain queues and side
+// buffers must never leak state between calls.
 func TestWorkspaceMatchesFresh(t *testing.T) {
 	graphs := []struct {
 		name string

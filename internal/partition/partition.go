@@ -6,26 +6,32 @@
 //
 // The pipeline is the classic three phases:
 //
-//  1. Coarsening by heavy-edge matching until the graph is small.
+//  1. Coarsening by heavy-edge matching until the graph is small. Each
+//     coarse level's adjacency is merged unsorted and then put in target
+//     order by one counting transpose (the level is symmetric).
 //  2. Initial bisection of the coarsest graph by greedy BFS region growing
 //     from several seeds, keeping the best cut.
 //  3. Uncoarsening with Fiduccia–Mattheyses refinement (hill climbing plus
 //     negative-gain exploration with rollback to the best prefix) at each
-//     level.
+//     level. Moves come from a gain-bucket queue: one bucket per gain in
+//     [-D, +D], D the level's largest weighted degree, each a bitset over
+//     node ids, so the highest gain pops first and the lowest id breaks
+//     ties.
 //
 // All internal iteration orders are deterministic, so a fixed Options.Rand
 // reproduces the same partition.
 //
 // The solver is allocation-free in steady state: every phase runs on a
 // Workspace whose level arena (CSR-flattened weighted graphs, matching and
-// side buffers, the FM gain heap) is grown once and recycled across calls.
-// Resilience partitions hundreds of thousands of ball subgraphs per suite,
-// so hot paths hold a Workspace (one per worker — it is not safe for
+// side buffers, the FM gain buckets) is grown once and recycled across
+// calls. Resilience partitions hundreds of thousands of ball subgraphs per
+// suite, so hot paths hold a Workspace (one per worker — it is not safe for
 // concurrent use) and call CutSizeWith / BisectWith; the package-level
 // CutSize / Bisect wrappers build a throwaway Workspace per call.
 package partition
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -50,11 +56,20 @@ type level struct {
 	adj   []wedge
 	cmap  []int32
 	side  []bool
+	// maxWDeg is the largest weighted degree, which bounds every FM gain:
+	// a node's gain is a signed sum of its edge weights.
+	maxWDeg int
 }
 
 func (l *level) numNodes() int { return len(l.nodeW) }
 
 func (l *level) edgesOf(v int32) []wedge { return l.adj[l.off[v]:l.off[v+1]] }
+
+// gainBounds sizes the gain queue a level needs: one bucket per gain in
+// [-maxWDeg, +maxWDeg], each ⌈n/64⌉ bitset words.
+func (l *level) gainBounds() (buckets, words int) {
+	return 2*l.maxWDeg + 1, (l.numNodes() + 63) >> 6
+}
 
 func (l *level) totalNodeW() int {
 	t := 0
@@ -83,6 +98,7 @@ func (l *level) fromGraph(g *graph.Graph) {
 		}
 	}
 	l.off[n] = idx
+	l.maxWDeg = g.MaxDegree()
 }
 
 // Workspace holds every buffer the multilevel pipeline needs, grown on
@@ -99,6 +115,7 @@ type Workspace struct {
 
 	acc    graph.Stamp // coarse-adjacency merge liveness, one epoch per coarse node
 	accPos []int32     // position of a stamped target in the open adjacency run
+	runs   []wedge     // unsorted coarse adjacency runs, before the transpose
 
 	visit graph.Stamp // region-growing visited marks, one epoch per seed
 	queue []int32
@@ -107,7 +124,7 @@ type Workspace struct {
 	gain    []int // FM gains
 	moved   []bool
 	history []int32
-	heap    []moveCand
+	moves   gainQueue
 }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
@@ -201,6 +218,14 @@ func bisect(ws *Workspace, g *graph.Graph, opts Options) (int, []bool) {
 		depth++
 		cur = next
 	}
+	// Refinement runs coarsest level first; size the gain queue for the
+	// widest level up front instead of regrowing it on the way down.
+	maxBuckets, maxWords := 0, 0
+	for _, lv := range ws.levels[:depth+1] {
+		b, w := lv.gainBounds()
+		maxBuckets, maxWords = max(maxBuckets, b), max(maxWords, b*w)
+	}
+	ws.moves.reserve(maxBuckets, maxWords)
 	cur.side = growBool(cur.side, cur.numNodes())
 	ws.initialBisection(cur, cur.side, &opts)
 	ws.refine(cur, cur.side, &opts)
@@ -293,20 +318,23 @@ func (ws *Workspace) coarsen(fine, coarse *level, r *rand.Rand) {
 	nc := int(next)
 
 	// Contract: per coarse node, merge its members' neighbor runs with an
-	// epoch-stamped accumulator (deterministic replacement for the
-	// historical per-node map), then sort the run by target id — the same
-	// sorted, weight-summed adjacency the map build produced.
+	// epoch-stamped accumulator into ws.runs, unsorted. The coarse graph is
+	// symmetric with symmetric weights, so one counting transpose — scatter
+	// each run's entries, sources in increasing order, into their targets'
+	// runs — rebuilds the same graph with every run sorted by target id.
 	coarse.nodeW = growInt32(coarse.nodeW, nc)
 	for i := range coarse.nodeW[:nc] {
 		coarse.nodeW[i] = 0
 	}
 	coarse.off = growInt32(coarse.off, nc+1)
-	coarse.adj = coarse.adj[:0]
+	runs := ws.runs[:0]
 	ws.accPos = growInt32(ws.accPos, nc)
+	coarse.maxWDeg = 0
 	for cu := int32(0); cu < next; cu++ {
 		ws.acc.Begin(nc)
-		start := len(coarse.adj)
+		start := len(runs)
 		coarse.off[cu] = int32(start)
+		wdeg := 0
 		for _, u := range [2]int32{ws.memberA[cu], ws.memberB[cu]} {
 			if u < 0 {
 				continue
@@ -317,19 +345,30 @@ func (ws *Workspace) coarsen(fine, coarse *level, r *rand.Rand) {
 				if cv == cu {
 					continue
 				}
+				wdeg += int(e.w)
 				if ws.acc.Visit(cv) {
-					ws.accPos[cv] = int32(len(coarse.adj) - start)
-					coarse.adj = append(coarse.adj, wedge{cv, e.w})
+					ws.accPos[cv] = int32(len(runs) - start)
+					runs = append(runs, wedge{cv, e.w})
 				} else {
-					coarse.adj[start+int(ws.accPos[cv])].w += e.w
+					runs[start+int(ws.accPos[cv])].w += e.w
 				}
 			}
 		}
-		slices.SortFunc(coarse.adj[start:], func(a, b wedge) int {
-			return int(a.to) - int(b.to)
-		})
+		coarse.maxWDeg = max(coarse.maxWDeg, wdeg)
 	}
-	coarse.off[nc] = int32(len(coarse.adj))
+	coarse.off[nc] = int32(len(runs))
+	// Grown like append: balls of a sweep grow, and exact growth would
+	// re-make every level's run store for each larger ball.
+	coarse.adj = slices.Grow(coarse.adj[:0], len(runs))[:len(runs)]
+	fill := ws.accPos[:nc]
+	copy(fill, coarse.off[:nc])
+	for cu := int32(0); cu < next; cu++ {
+		for _, e := range runs[coarse.off[cu]:coarse.off[cu+1]] {
+			coarse.adj[fill[e.to]] = wedge{cu, e.w}
+			fill[e.to]++
+		}
+	}
+	ws.runs = runs[:0]
 }
 
 // initialBisection grows a region by BFS from several random seeds and
@@ -373,60 +412,93 @@ func (ws *Workspace) initialBisection(l *level, best []bool, opts *Options) {
 	}
 }
 
-// moveCand is a heap entry: a candidate node move with the gain it had when
-// pushed. Entries go stale when neighboring moves change the gain; stale
-// entries are discarded lazily on pop. Ties break on node id so refinement
-// is deterministic.
-type moveCand struct {
-	v    int32
-	gain int
+// gainQueue is the FM move queue: one bucket per gain in [-maxGain,
+// +maxGain], each a bitset over node ids, so a pop yields the highest gain
+// and, within it, the lowest id — the strict (gain desc, id asc) order the
+// historical lazy heap popped. A node is queued at most once, at its
+// current gain; moving between buckets is two bit flips. Every pass drains
+// the queue, so bits and count are all zero between passes and a new level
+// reuses them under a new layout without clearing.
+type gainQueue struct {
+	words   int      // bitset words per bucket, ⌈n/64⌉
+	maxGain int      // bucket b holds gain b-maxGain
+	bits    []uint64 // bucket b is bits[b*words : (b+1)*words]
+	count   []int32  // queued nodes per bucket
+	low     []int32  // per occupied bucket, no set bit below this word
+	top     int      // no bucket above top is occupied
+	size    int
 }
 
-// The gain heap is a typed port of container/heap's sift algorithms (same
-// Init / Push / Pop element order, so pop order is bit-identical to the
-// historical heap.Interface implementation) without the per-operation `any`
-// boxing.
-
-func gainLess(h []moveCand, i, j int) bool {
-	if h[i].gain != h[j].gain {
-		return h[i].gain > h[j].gain
+// reserve grows the queue's storage, only when it is short, to hold nb
+// buckets of words bitset words in all. Fresh storage is zero, which keeps
+// the all-zero invariant.
+func (q *gainQueue) reserve(nb, words int) {
+	if cap(q.bits) < words {
+		q.bits = make([]uint64, words)
 	}
-	return h[i].v < h[j].v
-}
-
-func gainDown(h []moveCand, i0, n int) {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && gainLess(h, j2, j1) {
-			j = j2
-		}
-		if !gainLess(h, j, i) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
+	if cap(q.count) < nb {
+		q.count = make([]int32, nb)
+		q.low = make([]int32, nb)
 	}
 }
 
-func gainUp(h []moveCand, j int) {
-	for {
-		i := (j - 1) / 2
-		if i == j || !gainLess(h, j, i) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
+// reset lays the empty queue out for level l.
+func (q *gainQueue) reset(l *level) {
+	nb, words := l.gainBounds()
+	q.reserve(nb, nb*words)
+	q.words, q.maxGain = words, l.maxWDeg
+	q.bits, q.count, q.low = q.bits[:nb*words], q.count[:nb], q.low[:nb]
+	q.top = -1
+}
+
+func (q *gainQueue) push(v int32, gain int) {
+	b := gain + q.maxGain
+	w := v >> 6
+	if q.count[b] == 0 || w < q.low[b] {
+		q.low[b] = w
 	}
+	q.count[b]++
+	q.bits[b*q.words+int(w)] |= 1 << (v & 63)
+	q.top = max(q.top, b)
+	q.size++
+}
+
+// remove takes v out of the bucket for gain if it is queued there.
+func (q *gainQueue) remove(v int32, gain int) {
+	b := gain + q.maxGain
+	i, m := b*q.words+int(v>>6), uint64(1)<<(v&63)
+	if q.bits[i]&m != 0 {
+		q.bits[i] &^= m
+		q.count[b]--
+		q.size--
+	}
+}
+
+// pop removes and returns the queued node with the highest gain, lowest id
+// first among equal gains. The queue must not be empty.
+func (q *gainQueue) pop() int32 {
+	for q.count[q.top] == 0 {
+		q.top--
+	}
+	b := q.top
+	row := q.bits[b*q.words : (b+1)*q.words]
+	w := q.low[b]
+	for row[w] == 0 {
+		w++
+	}
+	q.low[b] = w
+	bit := bits.TrailingZeros64(row[w])
+	row[w] &^= 1 << bit
+	q.count[b]--
+	q.size--
+	return w<<6 + int32(bit)
 }
 
 // refine runs Fiduccia–Mattheyses passes: each pass tentatively moves every
 // node once in best-gain-first order (negative gains included, balance
 // respected), then rolls back to the prefix of moves with the smallest cut.
+// A node refused for balance leaves the queue until a neighbor's move
+// changes its gain; a moved node stays out for the rest of the pass.
 func (ws *Workspace) refine(l *level, side []bool, opts *Options) {
 	n := l.numNodes()
 	total := l.totalNodeW()
@@ -437,6 +509,8 @@ func (ws *Workspace) refine(l *level, side []bool, opts *Options) {
 	ws.gain = growInt(ws.gain, n)
 	ws.moved = growBool(ws.moved, n)
 	gain, moved := ws.gain, ws.moved
+	q := &ws.moves
+	q.reset(l)
 	for pass := 0; pass < opts.Refinements; pass++ {
 		weightTrue := 0
 		for v := 0; v < n; v++ {
@@ -454,29 +528,15 @@ func (ws *Workspace) refine(l *level, side []bool, opts *Options) {
 				}
 			}
 			gain[v] = g
-		}
-		h := ws.heap[:0]
-		for v := int32(0); v < int32(n); v++ {
-			h = append(h, moveCand{v, gain[v]})
-		}
-		for i := len(h)/2 - 1; i >= 0; i-- {
-			gainDown(h, i, len(h))
+			q.push(v, g)
 		}
 		for i := range moved {
 			moved[i] = false
 		}
 		history := ws.history[:0]
 		cumGain, bestGain, bestPrefix := 0, 0, 0
-		for len(h) > 0 {
-			last := len(h) - 1
-			h[0], h[last] = h[last], h[0]
-			gainDown(h, 0, last)
-			c := h[last]
-			h = h[:last]
-			v := c.v
-			if moved[v] || c.gain != gain[v] {
-				continue
-			}
+		for q.size > 0 {
+			v := q.pop()
 			var newTrue int
 			if side[v] {
 				newTrue = weightTrue - int(l.nodeW[v])
@@ -497,23 +557,23 @@ func (ws *Workspace) refine(l *level, side []bool, opts *Options) {
 				bestPrefix = len(history)
 			}
 			for _, e := range l.edgesOf(v) {
-				if moved[e.to] {
+				u := e.to
+				if moved[u] {
 					continue
 				}
-				if side[e.to] == side[v] {
-					gain[e.to] -= 2 * int(e.w)
+				q.remove(u, gain[u])
+				if side[u] == side[v] {
+					gain[u] -= 2 * int(e.w)
 				} else {
-					gain[e.to] += 2 * int(e.w)
+					gain[u] += 2 * int(e.w)
 				}
-				h = append(h, moveCand{e.to, gain[e.to]})
-				gainUp(h, len(h)-1)
+				q.push(u, gain[u])
 			}
 		}
 		// Roll back moves beyond the best prefix.
 		for i := len(history) - 1; i >= bestPrefix; i-- {
 			side[history[i]] = !side[history[i]]
 		}
-		ws.heap = h[:0]
 		ws.history = history[:0]
 		if bestGain == 0 {
 			break

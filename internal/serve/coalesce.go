@@ -16,6 +16,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"slices"
@@ -136,21 +137,35 @@ type MetricRequest struct {
 	Network string
 	Set     core.PaperSetOptions
 	Metric  string
-	// Sources caps sampled BFS centers (0 = a 64-center default; negative =
-	// every node). Seed drives the center sampling (0 = 1). BinWidth is the
-	// eccentricity histogram bin (0 = 0.1).
+	// Sources caps sampled BFS centers (0 = a 64-center default; a cap at
+	// or above the node count samples every node). Seed drives the center
+	// sampling (0 = 1). BinWidth is the eccentricity histogram bin
+	// (0 = 0.1). Negative Sources and negative or non-finite BinWidth are
+	// rejected.
 	Sources        int
 	Seed           int64
 	BinWidth       float64
 	TimeoutSeconds float64
 }
 
+// validate rejects what defaults cannot repair: an invalid set, negative
+// Sources, or a negative or non-finite BinWidth.
+func (q *MetricRequest) validate() error {
+	if err := q.Set.Validate(); err != nil {
+		return err
+	}
+	if q.Sources < 0 {
+		return fmt.Errorf("serve: Sources %d is negative", q.Sources)
+	}
+	if math.IsNaN(q.BinWidth) || math.IsInf(q.BinWidth, 0) || q.BinWidth < 0 {
+		return fmt.Errorf("serve: BinWidth %v is not a finite non-negative value", q.BinWidth)
+	}
+	return nil
+}
+
 func (q *MetricRequest) defaults() {
 	if q.Sources == 0 {
 		q.Sources = 64
-	}
-	if q.Sources < 0 {
-		q.Sources = 0 // ball.Centers: 0 samples every node
 	}
 	if q.Seed == 0 {
 		q.Seed = 1
@@ -177,6 +192,10 @@ func (s *Server) handleMetric(w http.ResponseWriter, r *http.Request) {
 	}
 	if !knownNetwork(req.Network) {
 		http.Error(w, fmt.Sprintf("unknown network %q", req.Network), http.StatusBadRequest)
+		return
+	}
+	if err := req.validate(); err != nil {
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	req.defaults()

@@ -305,9 +305,11 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown network %q", req.Network), http.StatusBadRequest)
 		return
 	}
-	if err := req.Suite.Validate(); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
+	for _, err := range []error{req.Set.Validate(), req.Suite.Validate()} {
+		if err != nil {
+			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+			return
+		}
 	}
 	cfg := experiments.Config{Set: req.Set, Suite: req.Suite}
 	key := experiments.SuiteKey(cfg, req.Network)

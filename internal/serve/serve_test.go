@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -446,6 +447,48 @@ func TestServeRejectsBadTolerance(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/healthz after bad requests: %d", resp.StatusCode)
+	}
+}
+
+// TestServeRejectsBadOptions checks that invalid set, suite and metric
+// options are refused with 400 before any key is minted or work starts,
+// and that the daemon keeps serving afterwards.
+func TestServeRejectsBadOptions(t *testing.T) {
+	ts := httptest.NewServer(New(Options{Workers: 1}).Handler())
+	defer ts.Close()
+	bad := []struct{ path, body string }{
+		{"/v1/suite", `{"Network":"Tree","Set":{"Scale":-3}}`},
+		{"/v1/suite", `{"Network":"Tree","Set":{"AliasFailure":1.5}}`},
+		{"/v1/suite", `{"Network":"Tree","Suite":{"Sources":-1}}`},
+		{"/v1/suite", `{"Network":"Tree","Suite":{"MaxBallSize":-1}}`},
+		{"/v1/suite", `{"Network":"Tree","Suite":{"EigenRank":-1}}`},
+		{"/v1/suite", `{"Network":"Tree","Suite":{"LinkSources":-1}}`},
+		{"/v1/suite", `{"Network":"Tree","Suite":{"SampleBudget":-1}}`},
+		{"/v1/metric", `{"Network":"Tree","Metric":"expansion","Set":{"Scale":-3}}`},
+		{"/v1/metric", `{"Network":"Tree","Metric":"expansion","Set":{"AliasFailure":-0.5}}`},
+		{"/v1/metric", `{"Network":"Tree","Metric":"expansion","Sources":-5}`},
+		{"/v1/metric", `{"Network":"Tree","Metric":"eccentricity","BinWidth":-0.1}`},
+	}
+	for _, b := range bad {
+		code, _, out := postJSON(t, ts.URL+b.path, []byte(b.body))
+		if code != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d, want 400 (%s)", b.path, b.body, code, out)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after bad requests: %d", resp.StatusCode)
+	}
+	// JSON cannot carry NaN or Inf; the check still guards in-process use.
+	for _, bw := range []float64{math.NaN(), math.Inf(1)} {
+		q := MetricRequest{Network: "Tree", Metric: "eccentricity", BinWidth: bw}
+		if q.validate() == nil {
+			t.Errorf("BinWidth %v accepted", bw)
+		}
 	}
 }
 

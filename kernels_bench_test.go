@@ -10,6 +10,7 @@ import (
 
 	"topocmp/internal/ball"
 	"topocmp/internal/gen/canonical"
+	"topocmp/internal/gen/plrg"
 	"topocmp/internal/metrics"
 	"topocmp/internal/partition"
 )
@@ -31,8 +32,11 @@ var kernelBench struct {
 }
 
 // benchKernel runs fn b.N times with alloc accounting and records the row.
+// ReportAllocs puts allocs/op in the -bench output too, so cmd/benchdiff
+// gates allocations as well as time.
 func benchKernel(b *testing.B, fn func()) {
 	b.Helper()
+	b.ReportAllocs()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -77,14 +81,26 @@ func kernelCfg() ball.Config {
 	return ball.Config{MaxSources: 4, Rand: rand.New(rand.NewSource(1))}
 }
 
-// BenchmarkKernelResilience is the headline kernel workload: the full
-// resilience curve of a 900-node mesh (the same shape as the package-level
-// BenchmarkResilienceMesh), whose per-ball balanced bisections now run on
-// the engine's pooled workspaces.
+// BenchmarkKernelResilience is the headline kernel workload: full
+// resilience curves, whose per-ball balanced bisections run on the
+// engine's pooled workspaces. The 900-node mesh (the same shape as the
+// package-level BenchmarkResilienceMesh) coarsens in a few levels; the
+// PLRG's balls reach its hubs at radius two, and a hub ball coarsens by a
+// few nodes per level, so that row is dominated by deep FM refinement.
 func BenchmarkKernelResilience(b *testing.B) {
-	g := canonical.Mesh(30, 30)
-	benchKernel(b, func() {
-		metrics.Resilience(g, kernelCfg(), partition.Options{})
+	b.Run("mesh", func(b *testing.B) {
+		g := canonical.Mesh(30, 30)
+		benchKernel(b, func() {
+			metrics.Resilience(g, kernelCfg(), partition.Options{})
+		})
+	})
+	b.Run("plrg", func(b *testing.B) {
+		g := plrg.MustGenerate(rand.New(rand.NewSource(12)), plrg.Params{N: 1200, Beta: 2.246})
+		benchKernel(b, func() {
+			cfg := kernelCfg()
+			cfg.MaxBallSize = 1500
+			metrics.Resilience(g, cfg, partition.Options{})
+		})
 	})
 }
 

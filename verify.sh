@@ -4,6 +4,7 @@
 #   tier 0: gofmt -l cleanliness + go vet ./...
 #   tier 1: go build ./... && go test ./...          (ROADMAP.md tier-1)
 #   tier 2: go test -race <concurrent packages>      (ROADMAP.md tier-2)
+#   fuzz smoke: 10 s of partition.FuzzRefineMatchesHeap
 #   endpoint smoke: live /metrics + /debug/progress mid-run
 #   serve smoke: topocmpd answers, dedups and observes end to end
 #   bench smoke: one iteration of the kernel benchmarks
@@ -48,6 +49,12 @@ go test -race -timeout 45m ./internal/core ./internal/ball ./internal/experiment
     ./internal/cache ./internal/obs ./internal/partition ./internal/flow \
     ./internal/metrics ./internal/hierarchy ./internal/serve
 
+echo "== fuzz smoke: gain-bucket FM refinement against the heap oracle =="
+# Ten seconds of native fuzzing over small random weighted levels and
+# whole bisections: the bucket queue must pop exactly what the historical
+# lazy heap popped.
+go test -run '^$' -fuzz '^FuzzRefineMatchesHeap$' -fuzztime 10s ./internal/partition
+
 echo "== scale smoke: 1M-node streamed build + sampled expansion =="
 # Builds a million-node PLRG through the streamed CSR path, checks the
 # >= 4x build-overhead advantage over the map builder, and runs a sampled
@@ -77,8 +84,11 @@ workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 cp BENCH_*.json "$workdir"
 bench_out="$workdir/bench.out"
-go test -run '^$' -bench 'CutSize|SurfaceMaxFlow|ResilienceMesh' \
-    -benchtime 1x ./internal/partition ./internal/metrics > "$bench_out"
+# The cut/flow kernel rows (BENCH_kernels.json) include a PLRG hub-ball
+# resilience curve, which coarsens through ~100 levels per ball, so a
+# regression in the FM refinement queue shows up there first.
+go test -run '^$' -bench 'BenchmarkKernel(Resilience|CutSize|SurfaceFlow)' \
+    -benchtime 1x . > "$bench_out"
 go test -run '^$' -bench 'BenchmarkMSBFS|BenchmarkWideMSBFS|BenchmarkBrandes|BenchmarkLinkValues|BenchmarkServe' \
     -benchtime 1x . >> "$bench_out"
 # Scale benchmarks refresh BENCH_scale.json (map-vs-streamed peak memory

@@ -119,8 +119,8 @@ func BenchmarkFigure2ResilienceRaw(b *testing.B) {
 	g := benchGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		metrics.Resilience(g, ball.Config{MaxSources: 6, MaxBallSize: 800,
-			Rand: rand.New(rand.NewSource(int64(i)))}, partition.Options{})
+		metrics.ResilienceWith(ball.NewEngine(g, 1), ball.Config{MaxSources: 6, MaxBallSize: 800,
+			Rand: rand.New(rand.NewSource(int64(i)))}, partition.Options{}, 1)
 	}
 }
 
@@ -129,7 +129,7 @@ func BenchmarkFigure2DistortionRaw(b *testing.B) {
 	g := benchGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		metrics.Distortion(g, ball.Config{MaxSources: 6, MaxBallSize: 800,
+		metrics.DistortionWith(ball.NewEngine(g, 1), ball.Config{MaxSources: 6, MaxBallSize: 800,
 			Rand: rand.New(rand.NewSource(int64(i)))}, 3)
 	}
 }
@@ -460,10 +460,10 @@ func BenchmarkRunSuite(b *testing.B) {
 	}
 }
 
-// BenchmarkBallEngine compares one full ball-growing pass (grow balls
-// around sampled centers, build each ball's induced subgraph) through the
-// legacy Visit+Subgraph path against the engine, plus the engine's
-// steady-state where the profile and subgraph caches are warm.
+// BenchmarkBallEngine times one full ball-growing pass (grow balls around
+// sampled centers, build each ball's induced subgraph) through a cold
+// engine, plus the engine's steady state where the profile and subgraph
+// caches are warm.
 func BenchmarkBallEngine(b *testing.B) {
 	g := benchGraph()
 	cfg := func() ball.Config {
@@ -473,18 +473,6 @@ func BenchmarkBallEngine(b *testing.B) {
 	count := func(sub *graph.Graph, _ *rand.Rand) (float64, bool) {
 		return float64(sub.NumNodes()), true
 	}
-	b.Run("legacy-visit", func(b *testing.B) {
-		b.ReportAllocs()
-		balls := 0
-		for i := 0; i < b.N; i++ {
-			balls = 0
-			ball.Visit(g, cfg(), func(bb ball.Ball) {
-				ball.Subgraph(g, bb)
-				balls++
-			})
-		}
-		b.ReportMetric(float64(balls), "balls")
-	})
 	b.Run("engine-cold", func(b *testing.B) {
 		b.ReportAllocs()
 		balls := 0
@@ -517,7 +505,7 @@ func BenchmarkAblationDistortionRoots(b *testing.B) {
 		b.Run(fmt.Sprintf("roots=%d", roots), func(b *testing.B) {
 			var last stats.Series
 			for i := 0; i < b.N; i++ {
-				last = metrics.Distortion(g, ball.Config{MaxSources: 4, MaxBallSize: 600,
+				last = metrics.DistortionWith(ball.NewEngine(g, 1), ball.Config{MaxSources: 4, MaxBallSize: 600,
 					Rand: rand.New(rand.NewSource(1))}, roots)
 			}
 			if last.Len() > 0 {
@@ -544,7 +532,7 @@ func BenchmarkAblationPartitioner(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				o := c.opts
 				o.Rand = rand.New(rand.NewSource(int64(i)))
-				cut = partition.CutSize(sub, o)
+				cut = partition.NewWorkspace().CutSize(sub, o)
 			}
 			b.ReportMetric(float64(cut), "cut")
 		})
@@ -557,7 +545,7 @@ func BenchmarkAblationBallSampling(b *testing.B) {
 		b.Run(fmt.Sprintf("sources=%d", sources), func(b *testing.B) {
 			var e stats.Series
 			for i := 0; i < b.N; i++ {
-				e = metrics.Expansion(g, ball.Config{MaxSources: sources,
+				e = metrics.ExpansionWith(ball.NewEngine(g, 1), ball.Config{MaxSources: sources,
 					Rand: rand.New(rand.NewSource(1))})
 			}
 			b.ReportMetric(e.YAt(4), "E(4)")

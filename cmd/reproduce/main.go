@@ -41,7 +41,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -56,7 +55,6 @@ import (
 	"topocmp/internal/cache"
 	"topocmp/internal/core"
 	"topocmp/internal/experiments"
-	"topocmp/internal/hierarchy"
 	"topocmp/internal/obs"
 	"topocmp/internal/plot"
 	"topocmp/internal/stats"
@@ -79,9 +77,6 @@ func main() {
 	progressLine := flag.Bool("progress", false, "render a live one-line progress summary on stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
-	linkSigma := flag.String("linksigma", "auto", "link-value traversal kernel: "+
-		"\"auto\" (diameter probe), \"scalar\" (one BFS per source), \"batched\" "+
-		"(force the sigma MSBFS kernel); outputs are byte-identical across modes")
 	flag.Parse()
 
 	if *quick && *full {
@@ -107,16 +102,11 @@ func main() {
 		cfg.Set.Scale = s
 	}
 	cfg.Suite.Parallelism = *workers
-	switch *linkSigma {
-	case "auto":
-		cfg.Suite.LinkSigma = hierarchy.SigmaAuto
-	case "scalar":
-		cfg.Suite.LinkSigma = hierarchy.SigmaScalar
-	case "batched":
-		cfg.Suite.LinkSigma = hierarchy.SigmaBatched
-	default:
-		fmt.Fprintf(os.Stderr, "reproduce: unknown -linksigma %q (want auto, scalar or batched)\n", *linkSigma)
-		os.Exit(2)
+	for _, err := range []error{cfg.Set.Validate(), cfg.Suite.Validate()} {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "reproduce:", err)
+			os.Exit(2)
+		}
 	}
 	os.Exit(realMain(cfg, *workers, *cacheDir, *out,
 		obsOptions{
@@ -129,13 +119,9 @@ func main() {
 		*traceFile, *cpuprofile, *memprofile))
 }
 
-// maxScale bounds the accepted -scale multiplier. The largest useful preset
-// ("1m") is 100; anything far beyond it indicates a typo (a stray exponent
-// would otherwise attempt a build with quadrillions of nodes).
-const maxScale = 1000
-
 // parseScale resolves a -scale argument: a named preset from
-// core.ScalePresets or a positive finite multiplier within sanity bounds.
+// core.ScalePresets or a positive multiplier within core.PaperSetOptions'
+// bounds (zero, which the options read as "default", is rejected here).
 func parseScale(arg string) (float64, error) {
 	if s, ok := core.ScalePresets[arg]; ok {
 		return s, nil
@@ -150,12 +136,11 @@ func parseScale(arg string) (float64, error) {
 		return 0, fmt.Errorf("invalid -scale %q: want a number > 0 or a preset (%s)",
 			arg, strings.Join(names, ", "))
 	}
-	if math.IsNaN(s) || math.IsInf(s, 0) || s <= 0 {
-		return 0, fmt.Errorf("invalid -scale %v: must be a finite value > 0", s)
+	if s == 0 {
+		return 0, fmt.Errorf("invalid -scale %v: must be > 0", s)
 	}
-	if s > maxScale {
-		return 0, fmt.Errorf("invalid -scale %v: exceeds the sanity bound %d "+
-			"(the largest preset, 1m, is 100)", s, maxScale)
+	if err := (core.PaperSetOptions{Scale: s}).Validate(); err != nil {
+		return 0, fmt.Errorf("invalid -scale: %w", err)
 	}
 	return s, nil
 }

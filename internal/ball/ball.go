@@ -36,45 +36,6 @@ func (c *Config) defaults() {
 	}
 }
 
-// Ball is one grown ball: the center, hop radius, and member nodes (ids in
-// the parent graph, in BFS order from the center).
-type Ball struct {
-	Center int32
-	Radius int
-	Nodes  []int32
-}
-
-// Visit grows balls of every radius around each sampled center and invokes
-// fn once per (center, radius) with the ball's member prefix. The slice
-// passed to fn is only valid during the call. Growth around a center stops
-// once the ball covers the center's whole component, exceeds MaxBallSize,
-// or reaches MaxRadius.
-func Visit(g *graph.Graph, cfg Config, fn func(b Ball)) {
-	cfg.defaults()
-	s := graph.NewBFSScratch()
-	for _, src := range Centers(g, &cfg) {
-		order := s.BFS(g, src)
-		// order is sorted by distance already (BFS property).
-		maxR := int(s.Dist(order[len(order)-1]))
-		if cfg.MaxRadius > 0 && maxR > cfg.MaxRadius {
-			maxR = cfg.MaxRadius
-		}
-		idx := 0
-		for h := 1; h <= maxR; h++ {
-			for idx < len(order) && int(s.Dist(order[idx])) <= h {
-				idx++
-			}
-			if cfg.MaxBallSize > 0 && idx > cfg.MaxBallSize {
-				break
-			}
-			if idx < cfg.MinBallSize {
-				continue
-			}
-			fn(Ball{Center: src, Radius: h, Nodes: order[:idx]})
-		}
-	}
-}
-
 // Centers returns the sampled ball centers for the configuration.
 func Centers(g *graph.Graph, cfg *Config) []int32 {
 	cfg.defaults()
@@ -93,9 +54,4 @@ func Centers(g *graph.Graph, cfg *Config) []int32 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Subgraph extracts the induced subgraph of a ball.
-func Subgraph(g *graph.Graph, b Ball) *graph.Graph {
-	return g.Subgraph(b.Nodes)
 }

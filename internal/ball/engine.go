@@ -1,8 +1,10 @@
 package ball
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -501,11 +503,9 @@ func (e *Engine) forEach(n int, work func(i int)) {
 		workers = n
 	}
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
+	var g Group
 	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
+		g.Go(func() {
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -513,9 +513,47 @@ func (e *Engine) forEach(n int, work func(i int)) {
 				}
 				work(i)
 			}
-		}()
+		})
 	}
-	wg.Wait()
+	g.Wait()
+}
+
+// Group runs goroutines and waits for them like a sync.WaitGroup, except
+// that a panic on one of them is recovered there and raised again by Wait,
+// on the waiting goroutine, once every goroutine has finished. The re-raised
+// value carries the original value and the panicking goroutine's stack. A
+// caller that contains panics with recover (the daemon contains each
+// request's computation) then sees a worker's panic as its own instead of
+// losing the process to it.
+type Group struct {
+	wg    sync.WaitGroup
+	once  sync.Once
+	first string
+}
+
+// Go runs f on a new goroutine of the group.
+func (g *Group) Go(f func()) {
+	g.wg.Add(1)
+	go func() {
+		defer g.wg.Done()
+		defer func() {
+			if p := recover(); p != nil {
+				g.once.Do(func() {
+					g.first = fmt.Sprintf("%v\n\npanicking goroutine:\n%s", p, debug.Stack())
+				})
+			}
+		}()
+		f()
+	}()
+}
+
+// Wait blocks until every goroutine of the group has returned, then
+// re-raises the first panic any of them raised.
+func (g *Group) Wait() {
+	g.wg.Wait()
+	if g.first != "" {
+		panic(g.first)
+	}
 }
 
 // BallPoints grows balls per cfg around the sampled centers, fanning

@@ -1,8 +1,10 @@
 package ball
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"topocmp/internal/graph"
@@ -105,28 +107,55 @@ func TestBallPointsParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// legacyVisit is the historical sequential ball walk the engine replaced:
+// one scalar BFS per sampled center, then fn once per radius with the ball's
+// member prefix (valid only during the call). It is the oracle for the
+// engine's ball enumeration.
+func legacyVisit(g *graph.Graph, cfg Config, fn func(center int32, radius int, nodes []int32)) {
+	cfg.defaults()
+	s := graph.NewBFSScratch()
+	for _, src := range Centers(g, &cfg) {
+		order := s.BFS(g, src)
+		maxR := int(s.Dist(order[len(order)-1]))
+		if cfg.MaxRadius > 0 && maxR > cfg.MaxRadius {
+			maxR = cfg.MaxRadius
+		}
+		idx := 0
+		for h := 1; h <= maxR; h++ {
+			for idx < len(order) && int(s.Dist(order[idx])) <= h {
+				idx++
+			}
+			if cfg.MaxBallSize > 0 && idx > cfg.MaxBallSize {
+				break
+			}
+			if idx < cfg.MinBallSize {
+				continue
+			}
+			fn(src, h, order[:idx])
+		}
+	}
+}
+
 func TestVisitMatchesProfiles(t *testing.T) {
-	// Visit (the legacy sequential walk) and the engine must agree on every
-	// grown ball.
+	// The legacy sequential walk and the engine must agree on every grown
+	// ball: its members (in BFS order) and the engine's ball enumeration.
 	g := engineTestGraph()
 	e := NewEngine(g, 1)
-	cfg := Config{MaxSources: 10, MaxBallSize: 250, Rand: rand.New(rand.NewSource(3))}
-	type key struct {
-		center int32
-		radius int
+	cfg := func() Config {
+		return Config{MaxSources: 10, MaxBallSize: 250, MinBallSize: 2, Rand: rand.New(rand.NewSource(3))}
 	}
-	sizes := map[key]int{}
-	Visit(g, cfg, func(b Ball) {
-		sizes[key{b.Center, b.Radius}] = len(b.Nodes)
+	var want []grownBall
+	legacyVisit(g, cfg(), func(center int32, radius int, nodes []int32) {
+		want = append(want, grownBall{radius, len(nodes)})
+		if got := e.Profile(center).BallAt(radius); !reflect.DeepEqual(got, nodes) {
+			t.Fatalf("ball (%d, %d): profile members differ from the legacy walk", center, radius)
+		}
 	})
-	if len(sizes) == 0 {
+	if len(want) == 0 {
 		t.Fatal("no balls visited")
 	}
-	for k, sz := range sizes {
-		if got := e.Profile(k.center).Size(k.radius); got != sz {
-			t.Fatalf("ball (%d, %d): Visit saw %d nodes, profile says %d",
-				k.center, k.radius, sz, got)
-		}
+	if got := engineBalls(g, cfg()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("engine grew %d balls %v, legacy walk %d %v", len(got), got, len(want), want)
 	}
 }
 
@@ -162,4 +191,21 @@ func TestEngineInstrumentation(t *testing.T) {
 	// An uninstrumented engine takes the same calls as pure no-ops.
 	plain := NewEngine(g, 1)
 	plain.BallSubgraph(plain.Profile(5), 1)
+}
+
+// TestWorkerPanicReachesCaller: a per-ball callback that panics on a worker
+// goroutine surfaces as a panic in the caller, where recover can contain it.
+func TestWorkerPanicReachesCaller(t *testing.T) {
+	g := engineTestGraph()
+	defer func() {
+		p := recover()
+		if p == nil {
+			t.Fatal("worker panic was lost")
+		}
+		if !strings.Contains(fmt.Sprint(p), "boom") {
+			t.Fatalf("re-raised panic %q does not carry the original value", p)
+		}
+	}()
+	NewEngine(g, 4).BallPoints(Config{MaxSources: 16, Rand: rand.New(rand.NewSource(1))}, 0,
+		func(*graph.Graph, *rand.Rand) (float64, bool) { panic("boom") })
 }

@@ -31,7 +31,9 @@ import (
 // algorithms), so stale entries miss instead of decoding into wrong shapes.
 // Version 2: stats.Series gained per-point StdErr bounds,
 // hierarchy.Result gained Nodes, and SuiteOptions gained SampleBudget.
-const SchemaVersion = 2
+// Version 3: the extras artifact's surface-max-flow curves come from the
+// engine form (per-center target RNGs) instead of one shared RNG stream.
+const SchemaVersion = 3
 
 // Key derives the content address for a result produced under the given
 // canonical description parts (e.g. the paper-set key, the suite key and a

@@ -67,13 +67,23 @@ func scaled(n int, scale float64, min int) int {
 	return v
 }
 
+// MaxScale bounds Scale. The largest useful preset ("1m") is 100; anything
+// far beyond it indicates a typo (a stray exponent would otherwise attempt a
+// build with quadrillions of nodes).
+const MaxScale = 1000
+
 // Validate rejects set options no network can be built from: Scale must
-// be finite and non-negative (zero picks the default) and AliasFailure a
-// probability in [0, 1]. Callers that accept options from outside the
-// process check them here before keying or building.
+// be finite, non-negative (zero picks the default) and at most MaxScale,
+// and AliasFailure a probability in [0, 1]. Every entry point that accepts
+// options from outside the process checks them here before keying or
+// building.
 func (o PaperSetOptions) Validate() error {
 	if math.IsNaN(o.Scale) || math.IsInf(o.Scale, 0) || o.Scale < 0 {
 		return fmt.Errorf("core: scale %v is not a finite non-negative value", o.Scale)
+	}
+	if o.Scale > MaxScale {
+		return fmt.Errorf("core: scale %v exceeds the bound %d (the largest preset, 1m, is 100)",
+			o.Scale, MaxScale)
 	}
 	if math.IsNaN(o.AliasFailure) || o.AliasFailure < 0 || o.AliasFailure > 1 {
 		return fmt.Errorf("core: alias failure %v outside [0, 1]", o.AliasFailure)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"topocmp/internal/ball"
 	"topocmp/internal/graph"
@@ -206,7 +205,9 @@ func RunSuiteCtx(ctx context.Context, n *Network, opts SuiteOptions) (*SuiteResu
 			Rand:        rand.New(rand.NewSource(opts.Seed + 1)),
 		}
 	}
-	var wg sync.WaitGroup
+	// Stages run on a ball.Group, so a panic in one reaches this
+	// goroutine (and a caller's recover) instead of ending the process.
+	var wg ball.Group
 	stage := func(name string, f func()) {
 		run := func() {
 			if ctx.Err() != nil {
@@ -220,11 +221,7 @@ func RunSuiteCtx(ctx context.Context, n *Network, opts SuiteOptions) (*SuiteResu
 			run()
 			return
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run()
-		}()
+		wg.Go(run)
 	}
 	stage("expansion", func() {
 		res.Expansion = metrics.ExpansionWith(eng, ball.Config{
@@ -329,8 +326,9 @@ func policyBallCurves(n *Network, opts SuiteOptions) (stats.Series, stats.Series
 		return n.Policy.PolicyBall(src, h)
 	}
 	popts := partition.Options{Rand: rand.New(rand.NewSource(opts.Seed + 100))}
-	// One workspace serves the whole sequential sweep; CutSizeWith is
-	// bit-identical to CutSize, it just skips the per-ball solver arenas.
+	// One workspace serves the whole sequential sweep: a warm workspace
+	// cuts bit-identically to a fresh one, it just skips the per-ball
+	// solver arenas.
 	pws := partition.NewWorkspace()
 	var resRaw, distRaw []stats.Point
 	for _, src := range centers {
@@ -348,7 +346,7 @@ func policyBallCurves(n *Network, opts SuiteOptions) (stats.Series, stats.Series
 				continue
 			}
 			sub := b.Subgraph()
-			cut := partition.CutSizeWith(pws, sub, popts)
+			cut := pws.CutSize(sub, popts)
 			resRaw = append(resRaw, stats.Point{X: float64(sub.NumNodes()), Y: float64(cut)})
 			if d := metrics.SubgraphDistortion(sub, 3); d > 0 {
 				distRaw = append(distRaw, stats.Point{X: float64(sub.NumNodes()), Y: d})

@@ -100,16 +100,17 @@ func TestSuiteOptionsValidate(t *testing.T) {
 	}
 }
 
-// TestPaperSetOptionsValidate pins the set range checks: Scale finite and
-// non-negative, AliasFailure a probability.
+// TestPaperSetOptionsValidate pins the set range checks: Scale finite, in
+// [0, MaxScale], AliasFailure a probability.
 func TestPaperSetOptionsValidate(t *testing.T) {
-	for _, ok := range []PaperSetOptions{{}, {Scale: 0.12, AliasFailure: 0.3}, {Scale: 1, AliasFailure: 1}} {
+	for _, ok := range []PaperSetOptions{{}, {Scale: 0.12, AliasFailure: 0.3}, {Scale: 1, AliasFailure: 1},
+		{Scale: MaxScale}} {
 		if err := ok.Validate(); err != nil {
 			t.Errorf("%+v: unexpected error %v", ok, err)
 		}
 	}
 	for _, bad := range []PaperSetOptions{
-		{Scale: -3}, {Scale: math.NaN()}, {Scale: math.Inf(1)},
+		{Scale: -3}, {Scale: math.NaN()}, {Scale: math.Inf(1)}, {Scale: MaxScale + 1}, {Scale: 1e12},
 		{AliasFailure: -0.1}, {AliasFailure: 1.5}, {AliasFailure: math.NaN()},
 	} {
 		if err := bad.Validate(); err == nil {

@@ -52,14 +52,16 @@ func (r *Runner) computeExtras() ExtrasData {
 	seed := r.Cfg.Suite.Seed
 	for _, name := range ExtrasNames {
 		g := r.Network(name).Graph
-		cfg := ball.Config{MaxSources: r.Cfg.Suite.Sources,
-			MaxBallSize: r.Cfg.Suite.MaxBallSize,
-			Rand:        rand.New(rand.NewSource(seed))}
-		s := metrics.BallPathLengthCurve(g, cfg)
+		eng := ball.NewEngine(g, 1)
+		cfg := func() ball.Config {
+			return ball.Config{MaxSources: r.Cfg.Suite.Sources,
+				MaxBallSize: r.Cfg.Suite.MaxBallSize,
+				Rand:        rand.New(rand.NewSource(seed))}
+		}
+		s := metrics.BallPathLengthCurveWith(eng, cfg())
 		s.Name = name
 		e.PathLength = append(e.PathLength, s)
-		cfg.Rand = rand.New(rand.NewSource(seed))
-		f := metrics.SurfaceMaxFlowCurve(g, cfg, 6)
+		f := metrics.SurfaceMaxFlowCurveWith(eng, cfg(), 6, seed)
 		f.Name = name
 		e.MaxFlow = append(e.MaxFlow, f)
 		h := metrics.HopPlot(g, 4*r.Cfg.Suite.Sources, rand.New(rand.NewSource(seed)))

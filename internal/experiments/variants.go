@@ -74,32 +74,43 @@ func (r *Runner) Figure12() VariantPanel {
 }
 
 func (p *VariantPanel) appendNetwork(name string, g *graph.Graph, cfg Config) {
-	seed := cfg.Suite.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	ccdf := stats.CCDF(g.Degrees())
 	ccdf.Name = name
 	p.CCDF = append(p.CCDF, ccdf)
 
+	e, res, d := basicMetrics(g, cfg.Suite)
+	e.Name, res.Name, d.Name = name, name, name
+	p.Expansion = append(p.Expansion, e)
+	p.Resilience = append(p.Resilience, res)
+	p.Distortion = append(p.Distortion, d)
+}
+
+// basicMetrics runs the three basic metrics of §3.2.1 on one sequential
+// engine per graph, whose profile cache serves any center the metrics
+// share. The seeds are
+// the panels' own (they differ from RunSuite's): expansion samples
+// 4*Sources centers from seed, resilience samples centers from seed+1 and
+// seeds its cuts with one draw from seed+100, distortion samples centers
+// from seed+2.
+func basicMetrics(g *graph.Graph, suite core.SuiteOptions) (e, res, d stats.Series) {
+	seed := suite.Seed
+	if seed == 0 {
+		seed = 1
+	}
 	mkCfg := func(off int64) ball.Config {
 		return ball.Config{
-			MaxSources:  cfg.Suite.Sources,
-			MaxBallSize: cfg.Suite.MaxBallSize,
+			MaxSources:  suite.Sources,
+			MaxBallSize: suite.MaxBallSize,
 			Rand:        rand.New(rand.NewSource(seed + off)),
 		}
 	}
-	e := metrics.Expansion(g, ball.Config{MaxSources: 4 * cfg.Suite.Sources,
+	eng := ball.NewEngine(g, 1)
+	e = metrics.ExpansionWith(eng, ball.Config{MaxSources: 4 * suite.Sources,
 		Rand: rand.New(rand.NewSource(seed))})
-	e.Name = name
-	p.Expansion = append(p.Expansion, e)
-	res := metrics.Resilience(g, mkCfg(1), partition.Options{
-		Rand: rand.New(rand.NewSource(seed + 100))})
-	res.Name = name
-	p.Resilience = append(p.Resilience, res)
-	d := metrics.Distortion(g, mkCfg(2), 3)
-	d.Name = name
-	p.Distortion = append(p.Distortion, d)
+	res = metrics.ResilienceWith(eng, mkCfg(1), partition.Options{},
+		rand.New(rand.NewSource(seed+100)).Int63())
+	d = metrics.DistortionWith(eng, mkCfg(2), 3)
+	return e, res, d
 }
 
 // Figure13 regenerates the "modified B-A / modified Brite" experiment of
@@ -215,22 +226,7 @@ func (r *Runner) figure11() []Figure11Row {
 
 // classifyGraph runs just the three basic metrics on a bare graph.
 func (r *Runner) classifyGraph(g *graph.Graph) core.Signature {
-	seed := r.Cfg.Suite.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	mkCfg := func(off int64) ball.Config {
-		return ball.Config{
-			MaxSources:  r.Cfg.Suite.Sources,
-			MaxBallSize: r.Cfg.Suite.MaxBallSize,
-			Rand:        rand.New(rand.NewSource(seed + off)),
-		}
-	}
-	e := metrics.Expansion(g, ball.Config{MaxSources: 4 * r.Cfg.Suite.Sources,
-		Rand: rand.New(rand.NewSource(seed))})
-	res := metrics.Resilience(g, mkCfg(1), partition.Options{
-		Rand: rand.New(rand.NewSource(seed + 100))})
-	d := metrics.Distortion(g, mkCfg(2), 3)
+	e, res, d := basicMetrics(g, r.Cfg.Suite)
 	return core.Signature{
 		Expansion:  core.ClassifyExpansion(e),
 		Resilience: core.ClassifyResilience(res),

@@ -169,7 +169,7 @@ func runSweeps(numSources, width, workers, numEdges int, sweep func(ws *sweepScr
 	unit := max(width, 1)
 	units := (numSources + unit - 1) / unit
 	run := sweepRun{wss: make([]*sweepScratch, workers)}
-	var wg sync.WaitGroup
+	var wg ball.Group
 	for w := range workers {
 		ws := sweepPool.Get()
 		ws.store.reset(numEdges, numSources)
@@ -177,14 +177,12 @@ func runSweeps(numSources, width, workers, numEdges int, sweep func(ws *sweepScr
 			ws.msbfs = graph.NewMSBFSScratch()
 		}
 		run.wss[w] = ws
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		wg.Go(func() {
 			for k := w; k < units; k += workers {
 				lo := k * unit
 				sweep(ws, lo, min(lo+unit, numSources))
 			}
-		}()
+		})
 	}
 	wg.Wait()
 	return run

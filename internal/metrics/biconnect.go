@@ -68,14 +68,10 @@ func BiconnectedComponents(g *graph.Graph) int {
 	return count
 }
 
-// BiconnectivityCurve computes the number of biconnected components within
-// ball subgraphs as a function of ball size (Figure 8(d-f)).
-func BiconnectivityCurve(g *graph.Graph, cfg ball.Config) stats.Series {
-	return BiconnectivityCurveWith(ball.NewEngine(g, 1), cfg)
-}
-
-// BiconnectivityCurveWith is BiconnectivityCurve over an engine: balls grow
-// on the worker pool and their subgraphs come from the shared ball cache.
+// BiconnectivityCurveWith computes the number of biconnected components
+// within ball subgraphs as a function of ball size (Figure 8(d-f)). Balls
+// grow on the engine's worker pool and their subgraphs come from the shared
+// ball cache.
 func BiconnectivityCurveWith(e *ball.Engine, cfg ball.Config) stats.Series {
 	if cfg.MinBallSize == 0 {
 		cfg.MinBallSize = 2

@@ -37,15 +37,10 @@ func ClusteringCoefficient(g *graph.Graph) float64 {
 	return total / float64(counted)
 }
 
-// ClusteringCurve computes the clustering coefficient of ball subgraphs as
-// a function of ball size, the ball-growing form of the clustering metric
-// the paper reports in Figure 10 and §4.4.
-func ClusteringCurve(g *graph.Graph, cfg ball.Config) stats.Series {
-	return ClusteringCurveWith(ball.NewEngine(g, 1), cfg)
-}
-
-// ClusteringCurveWith is ClusteringCurve over an engine: balls grow on the
-// worker pool and their subgraphs come from the shared ball cache.
+// ClusteringCurveWith computes the clustering coefficient of ball subgraphs
+// as a function of ball size, the ball-growing form of the clustering
+// metric the paper reports in Figure 10 and §4.4. Balls grow on the
+// engine's worker pool and their subgraphs come from the shared ball cache.
 func ClusteringCurveWith(e *ball.Engine, cfg ball.Config) stats.Series {
 	if cfg.MinBallSize == 0 {
 		cfg.MinBallSize = 3

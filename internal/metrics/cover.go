@@ -20,14 +20,10 @@ func VertexCover(g *graph.Graph) []int32 {
 	return m
 }
 
-// VertexCoverCurve computes the vertex-cover size of ball subgraphs as a
-// function of ball size, the ball-growing form used in Figure 8(a-c).
-func VertexCoverCurve(g *graph.Graph, cfg ball.Config) stats.Series {
-	return VertexCoverCurveWith(ball.NewEngine(g, 1), cfg)
-}
-
-// VertexCoverCurveWith is VertexCoverCurve over an engine: balls grow on
-// the worker pool and their subgraphs come from the shared ball cache.
+// VertexCoverCurveWith computes the vertex-cover size of ball subgraphs as
+// a function of ball size, the ball-growing form used in Figure 8(a-c).
+// Balls grow on the engine's worker pool and their subgraphs come from the
+// shared ball cache.
 func VertexCoverCurveWith(e *ball.Engine, cfg ball.Config) stats.Series {
 	if cfg.MinBallSize == 0 {
 		cfg.MinBallSize = 2

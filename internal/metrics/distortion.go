@@ -8,22 +8,15 @@ import (
 	"topocmp/internal/stats"
 )
 
-// Distortion computes D(n): for the subgraph inside an n-node ball, the
-// average distance on a spanning tree T between the endpoints of each graph
-// edge, minimized over candidate trees (§3.2.1). Following the paper's
-// heuristic (footnote 14), the ball's "center" is the node the most
-// shortest-path pairs traverse; the BFS tree rooted there (and at a few
-// runner-up candidates — "our own heuristics") provides the spanning trees.
-func Distortion(g *graph.Graph, cfg ball.Config, roots int) stats.Series {
-	if roots <= 0 {
-		roots = 3
-	}
-	return DistortionWith(ball.NewEngine(g, 1), cfg, roots)
-}
-
-// DistortionWith is Distortion over an engine: balls grow on the worker
-// pool, their subgraphs come from the shared ball cache, and the center
-// election runs on the engine's leased kernel bundles.
+// DistortionWith computes D(n) over an engine: for the subgraph inside an
+// n-node ball, the average distance on a spanning tree T between the
+// endpoints of each graph edge, minimized over candidate trees (§3.2.1).
+// Following the paper's heuristic (footnote 14), the ball's "center" is the
+// node the most shortest-path pairs traverse; the BFS tree rooted there (and
+// at a few runner-up candidates — "our own heuristics") provides the
+// spanning trees. roots <= 0 means 3. Balls grow on the worker pool, their
+// subgraphs come from the shared ball cache, and the center election runs
+// on the engine's leased kernel bundles.
 func DistortionWith(e *ball.Engine, cfg ball.Config, roots int) stats.Series {
 	if roots <= 0 {
 		roots = 3
@@ -32,7 +25,7 @@ func DistortionWith(e *ball.Engine, cfg ball.Config, roots int) stats.Series {
 		cfg.MinBallSize = 3
 	}
 	raw := e.BallPointsKernels(cfg, 0, func(sub *graph.Graph, _ int, _ *rand.Rand, k *ball.Kernels) (float64, bool) {
-		d := SubgraphDistortionKernels(sub, roots, BetweennessAuto, k)
+		d := SubgraphDistortionKernels(sub, roots, k)
 		return d, d > 0
 	})
 	s := stats.Bucketize(raw, bucketRatio)
@@ -40,23 +33,24 @@ func DistortionWith(e *ball.Engine, cfg ball.Config, roots int) stats.Series {
 	return s
 }
 
-// BetweennessMode selects the Brandes accumulation path for the center
-// election in SubgraphDistortion.
-type BetweennessMode int
+// betweennessMode selects the Brandes accumulation path for the center
+// election. Production calls always take betweennessAuto; the forced
+// routes exist for the tests that pin the two paths byte-identical.
+type betweennessMode int
 
 const (
-	// BetweennessAuto probes the subgraph's diameter (cheap double BFS
+	// betweennessAuto probes the subgraph's diameter (cheap double BFS
 	// sweep) and routes: past the cutoff the frontiers are thin and the
 	// scalar path wins; otherwise the bit-parallel kernel batches every
 	// sampled source through one shared level sweep.
-	BetweennessAuto BetweennessMode = iota
-	// BetweennessScalar forces the per-source scalar accumulation.
-	BetweennessScalar
-	// BetweennessBitParallel forces the batched kernel.
-	BetweennessBitParallel
+	betweennessAuto betweennessMode = iota
+	// betweennessScalar forces the per-source scalar accumulation.
+	betweennessScalar
+	// betweennessBitParallel forces the batched kernel.
+	betweennessBitParallel
 )
 
-// brandesDiameterCutoff is BetweennessAuto's routing threshold, matching
+// brandesDiameterCutoff is betweennessAuto's routing threshold, matching
 // the distance sweeps' cutoff in internal/ball: high-diameter subgraphs
 // (lattice balls) keep the scalar path.
 const brandesDiameterCutoff = 32
@@ -88,14 +82,21 @@ var standaloneKernels = ball.NewPool(func() *ball.Kernels {
 func SubgraphDistortion(sub *graph.Graph, roots int) float64 {
 	k := standaloneKernels.Get()
 	defer standaloneKernels.Put(k)
-	return SubgraphDistortionKernels(sub, roots, BetweennessAuto, k)
+	return SubgraphDistortionKernels(sub, roots, k)
 }
 
 // SubgraphDistortionKernels is SubgraphDistortion on a leased kernel
 // bundle: the betweenness election runs on k's BFS scratch or bit-parallel
-// Brandes strips per mode, and the tree arrays come from the pooled
-// distortion workspace, so the per-ball hot path is allocation-free.
-func SubgraphDistortionKernels(sub *graph.Graph, roots int, mode BetweennessMode, k *ball.Kernels) float64 {
+// Brandes strips, routed by the subgraph's diameter, and the tree arrays
+// come from the pooled distortion workspace, so the per-ball hot path is
+// allocation-free.
+func SubgraphDistortionKernels(sub *graph.Graph, roots int, k *ball.Kernels) float64 {
+	return subgraphDistortion(sub, roots, betweennessAuto, k)
+}
+
+// subgraphDistortion is SubgraphDistortionKernels with the betweenness
+// route chosen by mode.
+func subgraphDistortion(sub *graph.Graph, roots int, mode betweennessMode, k *ball.Kernels) float64 {
 	n := sub.NumNodes()
 	if n < 2 || sub.NumEdges() == 0 {
 		return 0
@@ -121,7 +122,7 @@ func SubgraphDistortionKernels(sub *graph.Graph, roots int, mode BetweennessMode
 // topBetweenness returns up to k nodes with the highest approximate
 // betweenness, computed by Brandes' accumulation from a sample of sources —
 // scalar per source or bit-parallel per batch, per mode.
-func topBetweenness(g *graph.Graph, k int, mode BetweennessMode, kn *ball.Kernels, ws *distScratch) []int32 {
+func topBetweenness(g *graph.Graph, k int, mode betweennessMode, kn *ball.Kernels, ws *distScratch) []int32 {
 	n := g.NumNodes()
 	sources := n
 	const maxSources = 24
@@ -135,14 +136,14 @@ func topBetweenness(g *graph.Graph, k int, mode BetweennessMode, kn *ball.Kernel
 	}
 	r := rand.New(rand.NewSource(int64(n)*7919 + 17))
 	perm := r.Perm(n)
-	if mode == BetweennessAuto {
+	if mode == betweennessAuto {
 		if graph.ApproxDiameter(g, kn.BFS) > brandesDiameterCutoff {
-			mode = BetweennessScalar
+			mode = betweennessScalar
 		} else {
-			mode = BetweennessBitParallel
+			mode = betweennessBitParallel
 		}
 	}
-	if mode == BetweennessBitParallel {
+	if mode == betweennessBitParallel {
 		ws.sources = ws.sources[:0]
 		for si := 0; si < sources; si++ {
 			ws.sources = append(ws.sources, int32(perm[si]))

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"topocmp/internal/ball"
-	"topocmp/internal/flow"
 	"topocmp/internal/graph"
 	"topocmp/internal/stats"
 )
@@ -16,86 +15,31 @@ import (
 // not add to them either". Both are implemented here for completeness and
 // for the ablation benches.
 
-// BallPathLengthCurve computes the average pairwise shortest-path length of
-// ball subgraphs as a function of ball size.
-func BallPathLengthCurve(g *graph.Graph, cfg ball.Config) stats.Series {
+// BallPathLengthCurveWith computes the average pairwise shortest-path
+// length of ball subgraphs as a function of ball size, sampling up to 24
+// sources per ball. Balls grow on the engine's worker pool and their
+// subgraphs come from the shared ball cache; the per-ball value does not
+// depend on the center RNG, so the series is the same at every parallelism.
+func BallPathLengthCurveWith(e *ball.Engine, cfg ball.Config) stats.Series {
 	if cfg.MinBallSize == 0 {
 		cfg.MinBallSize = 3
 	}
-	var raw []stats.Point
-	ball.Visit(g, cfg, func(b ball.Ball) {
-		sub := ball.Subgraph(g, b)
-		sources := sub.NumNodes()
-		if sources > 24 {
-			sources = 24
-		}
-		raw = append(raw, stats.Point{
-			X: float64(sub.NumNodes()),
-			Y: AveragePathLength(sub, sources),
-		})
+	raw := e.BallPoints(cfg, 0, func(sub *graph.Graph, _ *rand.Rand) (float64, bool) {
+		return AveragePathLength(sub, min(sub.NumNodes(), 24)), true
 	})
 	s := stats.Bucketize(raw, bucketRatio)
 	s.Name = "ballpathlength"
 	return s
 }
 
-// SurfaceMaxFlowCurve computes the expected unit-capacity max flow from a
-// ball's center to nodes on its surface (nodes at exactly the ball radius),
-// as a function of ball size. One subgraph scratch, BFS scratch and Dinic
-// network are reused across every ball, so the sweep allocates only the
-// per-ball subgraphs themselves; the sampling RNG sequence is unchanged, so
-// the series is byte-identical to the historical implementation.
-func SurfaceMaxFlowCurve(g *graph.Graph, cfg ball.Config, flowSamples int) stats.Series {
-	if cfg.MinBallSize == 0 {
-		cfg.MinBallSize = 3
-	}
-	if flowSamples <= 0 {
-		flowSamples = 8
-	}
-	r := rand.New(rand.NewSource(29))
-	subScratch := graph.NewSubgraphScratch()
-	bfs := graph.NewBFSScratch()
-	var nw flow.Network
-	var surface []int32
-	var raw []stats.Point
-	ball.Visit(g, cfg, func(b ball.Ball) {
-		sub := subScratch.Induced(g, b.Nodes)
-		// The center is node 0 of the subgraph (BFS order); surface nodes
-		// are those at distance Radius.
-		bfs.BFS(sub, 0)
-		surface = surface[:0]
-		for v := int32(0); v < int32(sub.NumNodes()); v++ {
-			if int(bfs.Dist(v)) == b.Radius {
-				surface = append(surface, v)
-			}
-		}
-		if len(surface) == 0 {
-			return
-		}
-		nw.Reset(sub)
-		total, samples := 0.0, 0
-		for i := 0; i < flowSamples && i < len(surface); i++ {
-			t := surface[r.Intn(len(surface))]
-			total += float64(nw.MaxFlow(0, t))
-			samples++
-		}
-		raw = append(raw, stats.Point{
-			X: float64(sub.NumNodes()),
-			Y: total / float64(samples),
-		})
-	})
-	s := stats.Bucketize(raw, bucketRatio)
-	s.Name = "surfacemaxflow"
-	return s
-}
-
-// SurfaceMaxFlowCurveWith is the engine form of SurfaceMaxFlowCurve: balls,
-// subgraphs and BFS passes come from the engine's shared caches, the Dinic
-// solver and surface buffer come from the pooled per-worker kernel bundle,
-// and each center samples surface targets with an RNG derived from
-// seed+centerIndex — so the series is bit-identical at every engine
-// parallelism (it intentionally differs from the legacy single-RNG
-// sequential curve, which is kept for cached-artifact compatibility).
+// SurfaceMaxFlowCurveWith computes the expected unit-capacity max flow from
+// a ball's center to nodes on its surface (nodes at exactly the ball
+// radius), as a function of ball size, sampling flowSamples surface targets
+// per ball (flowSamples <= 0 means 8). Balls, subgraphs and BFS passes come
+// from the engine's shared caches, the Dinic solver and surface buffer come
+// from the pooled per-worker kernel bundle, and each center samples surface
+// targets with an RNG derived from seed+centerIndex, so the series is
+// bit-identical at every engine parallelism.
 func SurfaceMaxFlowCurveWith(e *ball.Engine, cfg ball.Config, flowSamples int, seed int64) stats.Series {
 	if cfg.MinBallSize == 0 {
 		cfg.MinBallSize = 3

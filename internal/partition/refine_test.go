@@ -223,7 +223,7 @@ func TestWarmBisectAllocFree(t *testing.T) {
 	run := func() {
 		for _, g := range seq {
 			rng.Seed(1)
-			CutSizeWith(ws, g, Options{Rand: rng})
+			ws.CutSize(g, Options{Rand: rng})
 		}
 	}
 	run()
@@ -238,7 +238,7 @@ func TestWarmBisectAllocFree(t *testing.T) {
 func TestGainQueueStorageBound(t *testing.T) {
 	g := star(1500)
 	ws := NewWorkspace()
-	CutSizeWith(ws, g, Options{Rand: rand.New(rand.NewSource(1))})
+	ws.CutSize(g, Options{Rand: rand.New(rand.NewSource(1))})
 	widest := 0
 	for _, l := range ws.levels {
 		b, w := l.gainBounds()

@@ -16,9 +16,11 @@ package serve
 import (
 	"context"
 	"fmt"
+	"log"
 	"math"
 	"math/rand"
 	"net/http"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"time"
@@ -104,6 +106,16 @@ func (c *coalescer) warm(centers []int32) {
 }
 
 func (c *coalescer) flush(b *sweepBatch) {
+	// Whatever happens below, the submitters must wake: a panic in the
+	// sweep is counted and logged, the tokens go back, the batch closes,
+	// and each submitter's metric computes its own profiles.
+	defer close(b.done)
+	defer func() {
+		if p := recover(); p != nil {
+			c.s.cPanics.Add(1)
+			log.Printf("serve: coalesced sweep: panic: %v\n%s", p, debug.Stack())
+		}
+	}()
 	time.Sleep(c.window)
 	c.mu.Lock()
 	if c.cur == b {
@@ -120,13 +132,12 @@ func (c *coalescer) flush(b *sweepBatch) {
 	// keeps it honest against concurrently admitted suites.
 	w := c.s.opts.workers()
 	c.s.tokens.acquire(w)
+	defer c.s.tokens.release(w)
 	c.eng.SetParallelism(w) // a window-disabled request may have narrowed it
 	c.eng.CumProfiles(union)
-	c.s.tokens.release(w)
 	c.s.cCoalesceBatches.Add(1)
 	c.s.cCoalescedSources.Add(int64(b.submitted))
 	c.s.cCoalesceSwept.Add(int64(len(union)))
-	close(b.done)
 }
 
 // MetricRequest is the /v1/metric body: one coalescible distance metric

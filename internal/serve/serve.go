@@ -34,9 +34,12 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -207,6 +210,7 @@ type Server struct {
 	cSuiteRuns        *obs.Counter
 	cMetricRuns       *obs.Counter
 	cRejected         *obs.Counter
+	cPanics           *obs.Counter
 	cCoalesceBatches  *obs.Counter
 	cCoalescedSources *obs.Counter
 	cCoalesceSwept    *obs.Counter
@@ -238,6 +242,7 @@ func New(opts Options) *Server {
 		cSuiteRuns:        reg.Counter("serve.suite_runs"),
 		cMetricRuns:       reg.Counter("serve.metric_runs"),
 		cRejected:         reg.Counter("serve.rejected"),
+		cPanics:           reg.Counter("serve.panics"),
 		cCoalesceBatches:  reg.Counter("serve.coalesce_batches"),
 		cCoalescedSources: reg.Counter("serve.coalesced_sources"),
 		cCoalesceSwept:    reg.Counter("serve.coalesce_swept"),
@@ -352,11 +357,13 @@ func (s *Server) runSuite(ctx context.Context, key, network string, n *core.Netw
 	stage := "suite:" + network + "@" + key[:8]
 	st := s.prog.Register(stage)
 	st.Run()
+	defer func() {
+		st.Done()
+		s.retireStage(stage)
+	}()
 	opts.Span = sp
 	opts.Progress = st
 	res, err := core.RunSuiteCtx(ctx, n, opts)
-	st.Done()
-	s.retireStage(stage)
 	if err != nil {
 		return nil, err
 	}
@@ -427,17 +434,19 @@ func (s *Server) serveKeyed(w http.ResponseWriter, ctx context.Context, key, lab
 		// granted width for their whole duration, metric runs lean on the
 		// coalescer's sweep (which holds the full budget) instead of holding
 		// tokens while they wait on it — holding here would deadlock the two.
-		v, err := compute(cctx, width)
-		if err == nil {
-			f.body, err = marshalBody(v)
-		}
-		f.err = err
+		f.body, f.err = s.contain(label, func() ([]byte, error) {
+			v, err := compute(cctx, width)
+			if err != nil {
+				return nil, err
+			}
+			return marshalBody(v)
+		})
 		// Release the admission slot (and evict a failed flight) before
 		// waking the waiters: a closed-loop client that sends its next
 		// request the moment this one answers must find the slot free.
 		s.mu.Lock()
 		s.inflight--
-		if err != nil && dedup {
+		if f.err != nil && dedup {
 			delete(s.flights, key) // let a later request retry
 		}
 		s.mu.Unlock()
@@ -452,6 +461,11 @@ func (s *Server) await(w http.ResponseWriter, ctx context.Context, f *flight, so
 	defer f.detach()
 	select {
 	case <-f.done:
+		var pe *panicError
+		if errors.As(f.err, &pe) {
+			http.Error(w, "computation failed: "+f.err.Error(), http.StatusInternalServerError)
+			return
+		}
 		if f.err != nil {
 			http.Error(w, "computation failed: "+f.err.Error(), http.StatusServiceUnavailable)
 			return
@@ -462,6 +476,27 @@ func (s *Server) await(w http.ResponseWriter, ctx context.Context, f *flight, so
 	case <-ctx.Done():
 		http.Error(w, "request deadline exceeded", http.StatusGatewayTimeout)
 	}
+}
+
+// panicError is a computation's panic turned into the flight's error: its
+// waiters get 500 and the flight is evicted like any failed one.
+type panicError struct{ val any }
+
+func (e *panicError) Error() string { return fmt.Sprintf("internal error: %v", e.val) }
+
+// contain runs fn and turns a panic raised on the calling goroutine into a
+// *panicError, counted in serve.panics and logged with its stack, so one
+// bad computation cannot take the daemon down. Deferred releases inside fn
+// (worker tokens, spans, progress stages) run as the panic unwinds.
+func (s *Server) contain(label string, fn func() ([]byte, error)) (body []byte, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.cPanics.Add(1)
+			log.Printf("serve: %s: panic: %v\n%s", label, p, debug.Stack())
+			body, err = nil, &panicError{p}
+		}
+	}()
+	return fn()
 }
 
 func (s *Server) respond(w http.ResponseWriter, source string, v any) {
@@ -487,16 +522,25 @@ func marshalBody(v any) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
+// maxBodyBytes bounds a request body; a well-formed request is a few
+// hundred bytes.
+const maxBodyBytes = 1 << 20
+
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return false
 	}
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad request: "+err.Error(), code)
 		return false
 	}
 	return true

@@ -91,7 +91,7 @@ func BenchmarkKernelResilience(b *testing.B) {
 	b.Run("mesh", func(b *testing.B) {
 		g := canonical.Mesh(30, 30)
 		benchKernel(b, func() {
-			metrics.Resilience(g, kernelCfg(), partition.Options{})
+			metrics.ResilienceWith(ball.NewEngine(g, 1), kernelCfg(), partition.Options{}, 1)
 		})
 	})
 	b.Run("plrg", func(b *testing.B) {
@@ -99,7 +99,7 @@ func BenchmarkKernelResilience(b *testing.B) {
 		benchKernel(b, func() {
 			cfg := kernelCfg()
 			cfg.MaxBallSize = 1500
-			metrics.Resilience(g, cfg, partition.Options{})
+			metrics.ResilienceWith(ball.NewEngine(g, 1), cfg, partition.Options{}, 1)
 		})
 	})
 }
@@ -110,28 +110,22 @@ func BenchmarkKernelCutSize(b *testing.B) {
 	g := canonical.Mesh(30, 30)
 	b.Run("fresh", func(b *testing.B) {
 		benchKernel(b, func() {
-			partition.CutSize(g, partition.Options{Rand: rand.New(rand.NewSource(1))})
+			partition.NewWorkspace().CutSize(g, partition.Options{Rand: rand.New(rand.NewSource(1))})
 		})
 	})
 	b.Run("workspace", func(b *testing.B) {
 		ws := partition.NewWorkspace()
-		partition.CutSizeWith(ws, g, partition.Options{Rand: rand.New(rand.NewSource(1))})
+		ws.CutSize(g, partition.Options{Rand: rand.New(rand.NewSource(1))})
 		benchKernel(b, func() {
-			partition.CutSizeWith(ws, g, partition.Options{Rand: rand.New(rand.NewSource(1))})
+			ws.CutSize(g, partition.Options{Rand: rand.New(rand.NewSource(1))})
 		})
 	})
 }
 
-// BenchmarkKernelSurfaceFlow covers both surface-max-flow paths: the legacy
-// sequential curve with its reused local scratch, and the engine form with
-// pooled per-worker Dinic solvers.
+// BenchmarkKernelSurfaceFlow times the surface-max-flow curve on a fresh
+// engine with pooled per-worker Dinic solvers.
 func BenchmarkKernelSurfaceFlow(b *testing.B) {
 	g := canonical.Mesh(30, 30)
-	b.Run("legacy", func(b *testing.B) {
-		benchKernel(b, func() {
-			metrics.SurfaceMaxFlowCurve(g, kernelCfg(), 6)
-		})
-	})
 	b.Run("engine", func(b *testing.B) {
 		benchKernel(b, func() {
 			metrics.SurfaceMaxFlowCurveWith(ball.NewEngine(g, 1), kernelCfg(), 6, 1)

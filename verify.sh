@@ -1,7 +1,7 @@
 #!/bin/sh
 # verify.sh — the repo's full verification ladder in one shot.
 #
-#   tier 0: gofmt -l cleanliness + go vet ./...
+#   tier 0: gofmt -l cleanliness + go vet ./... + the perfbench tracer builds
 #   tier 1: go build ./... && go test ./...          (ROADMAP.md tier-1)
 #   tier 2: go test -race <concurrent packages>      (ROADMAP.md tier-2)
 #   fuzz smoke: 10 s of partition.FuzzRefineMatchesHeap
@@ -36,6 +36,13 @@ fi
 
 echo "== tier 0: go vet =="
 go vet ./...
+
+echo "== tier 0: benchmark tracer vets and builds =="
+# perfbench/tracer is a module of its own that calls the internal metric,
+# ball, partition and hierarchy APIs directly; ./... above does not reach
+# it, so an internal API change would otherwise break the benchmark
+# silently. It builds offline (its only dependency is this module).
+(cd perfbench/tracer && go vet ./... && go build -o /dev/null ./...)
 
 echo "== tier 1: build + full test suite =="
 go build ./...

@@ -107,6 +107,9 @@ type workerScratch struct {
 	sub *graph.SubgraphScratch
 }
 
+// profileEntry is one center's full profile, computed at most once. A
+// computation that panics leaves p nil: it removes the entry first, so
+// callers that waited on the once (and later ones) compute afresh.
 type profileEntry struct {
 	once sync.Once
 	p    *Profile
@@ -118,7 +121,9 @@ type profileEntry struct {
 // cumEntry is one center's cum-only profile. Unlike profileEntry's
 // sync.Once, completion is a closed channel: batched computation fills many
 // entries per kernel run, and late arrivals wait on exactly the entries
-// another call claimed.
+// another call claimed. An entry closed with c still nil was abandoned by a
+// panicking owner and is already out of the cache; its waiters claim the
+// center again.
 type cumEntry struct {
 	done chan struct{}
 	c    *CumProfile
@@ -249,22 +254,35 @@ func (p *Profile) BallAt(h int) []int32 { return p.Order[:p.Size(h)] }
 // Profile returns the center's ball profile, computing and caching it on
 // first use. Safe for concurrent use; duplicate work is suppressed.
 func (e *Engine) Profile(center int32) *Profile {
-	e.mu.Lock()
-	ent := e.profiles[center]
-	if ent == nil {
-		ent = &profileEntry{}
-		e.profiles[center] = ent
+	for {
+		e.mu.Lock()
+		ent := e.profiles[center]
+		if ent == nil {
+			ent = &profileEntry{}
+			e.profiles[center] = ent
+		}
+		e.mu.Unlock()
+		ent.once.Do(func() {
+			defer func() {
+				if ent.p == nil { // panicked: forget the entry
+					e.mu.Lock()
+					if e.profiles[center] == ent {
+						delete(e.profiles, center)
+					}
+					e.mu.Unlock()
+				}
+			}()
+			ws := e.scratch.Get()
+			ent.p = computeProfile(e.g, ws.bfs, center)
+			e.scratch.Put(ws)
+			ent.pub.Store(ent.p)
+			e.mProfiles.Add(1)
+			e.mBFSVisits.Add(int64(len(ent.p.Order)))
+		})
+		if ent.p != nil {
+			return ent.p
+		}
 	}
-	e.mu.Unlock()
-	ent.once.Do(func() {
-		ws := e.scratch.Get()
-		ent.p = computeProfile(e.g, ws.bfs, center)
-		e.scratch.Put(ws)
-		ent.pub.Store(ent.p)
-		e.mProfiles.Add(1)
-		e.mBFSVisits.Add(int64(len(ent.p.Order)))
-	})
-	return ent.p
 }
 
 func computeProfile(g *graph.Graph, s *graph.BFSScratch, center int32) *Profile {
@@ -363,6 +381,7 @@ func (e *Engine) CumProfiles(centers []int32) []*CumProfile {
 		ents[i] = ent
 	}
 	e.mu.Unlock()
+	defer e.abandon(centers, mine, ents)
 	// Work units for the live progress fraction: satisfied-from-cache
 	// centers complete instantly; "mine" completes as the kernels run.
 	e.prog.AddTotal(int64(len(centers)))
@@ -417,12 +436,45 @@ func (e *Engine) CumProfiles(centers []int32) []*CumProfile {
 		})
 	}
 	// Entries claimed by a concurrent call: their owner always completes
-	// its batches before waiting on anyone else, so this cannot cycle.
+	// its batches before waiting on anyone else, so this cannot cycle. An
+	// owner that panicked leaves its entries empty; claim those again.
+	var retry []int
 	for _, i := range theirs {
 		<-ents[i].done
-		out[i] = ents[i].c
+		if out[i] = ents[i].c; out[i] == nil {
+			retry = append(retry, i)
+		}
+	}
+	if len(retry) > 0 {
+		again := make([]int32, len(retry))
+		for j, i := range retry {
+			again[j] = centers[i]
+		}
+		for j, c := range e.CumProfiles(again) {
+			out[retry[j]] = c
+		}
 	}
 	return out
+}
+
+// abandon releases the claims of a CumProfiles call that is unwinding from
+// a panic: every entry it claimed but did not fill leaves the cache and is
+// closed, so concurrent waiters wake and later calls compute the center
+// afresh instead of blocking on it forever. Filled entries were closed as
+// they were filled, and on a normal return every claimed entry is filled.
+func (e *Engine) abandon(centers []int32, mine []int, ents []*cumEntry) {
+	for _, i := range mine {
+		ent := ents[i]
+		if ent.c != nil {
+			continue
+		}
+		e.mu.Lock()
+		if e.cums[centers[i]] == ent {
+			delete(e.cums, centers[i])
+		}
+		e.mu.Unlock()
+		close(ent.done)
+	}
 }
 
 // batchWidth picks the wide sweep's mask width from the engine's pool size.
@@ -473,19 +525,32 @@ func (e *Engine) BallSubgraph(p *Profile, h int) *graph.Graph {
 	if h > p.Eccentricity() {
 		h = p.Eccentricity()
 	}
-	p.mu.Lock()
-	for len(p.subs) <= h {
-		p.subs = append(p.subs, &subEntry{})
+	for {
+		p.mu.Lock()
+		for len(p.subs) <= h {
+			p.subs = append(p.subs, &subEntry{})
+		}
+		ent := p.subs[h]
+		p.mu.Unlock()
+		ent.once.Do(func() {
+			defer func() {
+				if ent.g == nil { // panicked: a fresh entry computes again
+					p.mu.Lock()
+					if p.subs[h] == ent {
+						p.subs[h] = &subEntry{}
+					}
+					p.mu.Unlock()
+				}
+			}()
+			ws := e.scratch.Get()
+			ent.g = ws.sub.Induced(e.g, p.BallAt(h))
+			e.scratch.Put(ws)
+			e.mSubgraphs.Add(1)
+		})
+		if ent.g != nil {
+			return ent.g
+		}
 	}
-	ent := p.subs[h]
-	p.mu.Unlock()
-	ent.once.Do(func() {
-		ws := e.scratch.Get()
-		ent.g = ws.sub.Induced(e.g, p.BallAt(h))
-		e.scratch.Put(ws)
-		e.mSubgraphs.Add(1)
-	})
-	return ent.g
 }
 
 // forEach runs work(i) for i in [0, n) over the worker pool. With a pool of

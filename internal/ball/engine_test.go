@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"topocmp/internal/graph"
 	"topocmp/internal/obs"
@@ -208,4 +210,96 @@ func TestWorkerPanicReachesCaller(t *testing.T) {
 	}()
 	NewEngine(g, 4).BallPoints(Config{MaxSources: 16, Rand: rand.New(rand.NewSource(1))}, 0,
 		func(*graph.Graph, *rand.Rand) (float64, bool) { panic("boom") })
+}
+
+// within runs f on its own goroutine and returns what it panicked with, or
+// fails the test if f has not returned after two seconds.
+func within(t *testing.T, what string, f func()) (panicked any) {
+	t.Helper()
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		f()
+	}()
+	select {
+	case p := <-done:
+		return p
+	case <-time.After(2 * time.Second):
+		t.Fatalf("%s still blocked after 2s", what)
+		return nil
+	}
+}
+
+// TestPanicReleasesClaims: a panic inside a cached computation leaves no
+// claimed or empty entry behind. After a recovered CumProfiles batch that
+// held a bad center, the good center it shared the batch with computes
+// again with the counts of a fresh engine, and the bad one panics again
+// instead of blocking — on the bit-parallel route and the scalar route
+// (a 100-node path is past the diameter cutoff), sequential and pooled.
+// Profile and BallSubgraph likewise panic again rather than hand out nil.
+func TestPanicReleasesClaims(t *testing.T) {
+	path := graph.NewBuilder(100)
+	for i := int32(0); i < 99; i++ {
+		path.AddEdge(i, i+1)
+	}
+	const bad = int32(1 << 20)
+	for _, g := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"msbfs", engineTestGraph()}, {"scalar", path.Graph()}} {
+		for _, par := range []int{1, 4} {
+			name := fmt.Sprintf("%s/P=%d", g.name, par)
+			e := NewEngine(g.g, par)
+			if within(t, name+": first batch", func() { e.CumProfiles([]int32{bad, 7}) }) == nil {
+				t.Fatalf("%s: a batch with center %d did not panic", name, bad)
+			}
+			var got []*CumProfile
+			if p := within(t, name+": good center", func() { got = e.CumProfiles([]int32{7}) }); p != nil {
+				t.Fatalf("%s: good center panicked: %v", name, p)
+			}
+			want := NewEngine(g.g, 1).CumProfiles([]int32{7})
+			if !reflect.DeepEqual(got[0].Cum, want[0].Cum) {
+				t.Fatalf("%s: counts %v after the panic, fresh engine %v", name, got[0].Cum, want[0].Cum)
+			}
+			if within(t, name+": bad center again", func() { e.CumProfiles([]int32{bad}) }) == nil {
+				t.Fatalf("%s: bad center stopped panicking", name)
+			}
+		}
+	}
+
+	// Concurrent callers waiting on a batch that panics wake and compute
+	// the centers themselves.
+	g := engineTestGraph()
+	want := NewEngine(g, 1).CumProfiles([]int32{7, 11})
+	for round := 0; round < 20; round++ {
+		e := NewEngine(g, 2)
+		var wg sync.WaitGroup
+		for c := 0; c < 4; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got := e.CumProfiles([]int32{7, 11})
+				for i := range got {
+					if !reflect.DeepEqual(got[i].Cum, want[i].Cum) {
+						t.Errorf("center %d: counts %v, want %v", got[i].Center, got[i].Cum, want[i].Cum)
+					}
+				}
+			}()
+		}
+		within(t, "concurrent bad batch", func() { e.CumProfiles([]int32{7, 11, bad}) })
+		within(t, "concurrent good batches", wg.Wait)
+	}
+
+	e := NewEngine(g, 1)
+	for i := 0; i < 2; i++ {
+		if within(t, "Profile", func() { e.Profile(bad) }) == nil {
+			t.Fatalf("Profile(%d) call %d did not panic", bad, i+1)
+		}
+	}
+	p := &Profile{Center: 0, Order: []int32{0, bad}, Cum: []int32{1, 2}}
+	for i := 0; i < 2; i++ {
+		if within(t, "BallSubgraph", func() { e.BallSubgraph(p, 1) }) == nil {
+			t.Fatalf("BallSubgraph over a bad ball, call %d, did not panic", i+1)
+		}
+	}
 }

@@ -7,23 +7,27 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
-
-	"topocmp/internal/ball"
-	"topocmp/internal/gen/canonical"
 )
 
-// TestServeContainsComputePanic: a computation that panics while holding
-// worker tokens answers 500, counts serve.panics, frees its admission slot
-// and tokens, and is evicted, so a retry of the same key computes; the
-// daemon keeps answering /healthz.
+// freeTokens reads how many of the server's worker tokens are free.
+func freeTokens(s *Server) int {
+	s.tokens.mu.Lock()
+	defer s.tokens.mu.Unlock()
+	return s.tokens.avail
+}
+
+// TestServeContainsComputePanic: a computation that panics while serveKeyed
+// holds its worker tokens answers 500, counts serve.panics, frees its
+// admission slot and tokens, and is evicted, so a retry of the same key
+// computes; the daemon keeps answering /healthz.
 func TestServeContainsComputePanic(t *testing.T) {
 	s := New(Options{Workers: 2, MaxInFlight: 1})
 	w := httptest.NewRecorder()
 	s.serveKeyed(w, context.Background(), "k1", "x", noCache,
 		func(_ context.Context, width int) (any, error) {
-			s.tokens.acquire(width)
-			defer s.tokens.release(width)
+			if free := freeTokens(s); free != 2-width {
+				t.Errorf("during compute: %d tokens free, want %d", free, 2-width)
+			}
 			var nodes []int32
 			return nodes[3], nil // index out of range
 		})
@@ -40,11 +44,8 @@ func TestServeContainsComputePanic(t *testing.T) {
 	if present || inflight != 0 {
 		t.Fatalf("after panic: flight present %t, inflight %d; want false, 0", present, inflight)
 	}
-	s.tokens.mu.Lock()
-	avail := s.tokens.avail
-	s.tokens.mu.Unlock()
-	if avail != 2 {
-		t.Fatalf("after panic: %d worker tokens free, want 2", avail)
+	if free := freeTokens(s); free != 2 {
+		t.Fatalf("after panic: %d worker tokens free, want 2", free)
 	}
 
 	retry := httptest.NewRecorder()
@@ -66,32 +67,6 @@ func TestServeContainsComputePanic(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/healthz after a contained panic: %d", resp.StatusCode)
-	}
-}
-
-// TestCoalescerContainsSweepPanic: a shared sweep that panics still wakes
-// its submitters and returns the worker budget.
-func TestCoalescerContainsSweepPanic(t *testing.T) {
-	s := New(Options{Workers: 2})
-	c := newCoalescer(s, ball.NewEngine(canonical.Tree(2, 3), 1), time.Millisecond)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		c.warm([]int32{1 << 20}) // no such node: the sweep panics
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("submitter never woke after the sweep panicked")
-	}
-	if got := s.reg.Counter("serve.panics").Value(); got != 1 {
-		t.Fatalf("serve.panics = %d, want 1", got)
-	}
-	s.tokens.mu.Lock()
-	avail := s.tokens.avail
-	s.tokens.mu.Unlock()
-	if avail != 2 {
-		t.Fatalf("after the panicked sweep: %d worker tokens free, want 2", avail)
 	}
 }
 

@@ -1,6 +1,6 @@
-// Package serve is the request-coalescing serving layer behind cmd/topocmpd:
-// a long-running HTTP daemon answering generator+metric queries over the
-// same SuiteOptions/PaperSetOptions vocabulary the CLI runs. Three admission
+// Package serve is the serving layer behind cmd/topocmpd: a long-running
+// HTTP daemon answering generator+metric queries over the same
+// SuiteOptions/PaperSetOptions vocabulary the CLI runs. Two admission
 // mechanisms make many concurrent clients cheap:
 //
 //   - Singleflight dedup. Every request is content-addressed by the exact
@@ -10,20 +10,18 @@
 //     serve from the in-process memo, and a disk store warmed by a CLI run
 //     satisfies daemon requests without computing anything.
 //
-//   - Cross-request sweep coalescing. Concurrent distance-metric requests
-//     against the same graph submit their BFS centers to a per-engine
-//     coalescer (see coalesce.go), which batches a short admission window's
-//     worth of submissions into one shared MSBFS strip set; the per-request
-//     metric assembly then reads the warm cum-profile cache. Level counts
-//     are order-independent integers, so coalesced responses are
-//     byte-identical to solo ones.
+//   - Bounded admission. At most MaxInFlight computations run at once
+//     (excess requests that cannot dedup or hit the cache are shed with
+//     429 + Retry-After), each holding an equal share of one weighted
+//     worker semaphore for its whole run — the same no-oversubscription
+//     discipline as the pipeline's Prefetch — and each carries its request
+//     context so a hung-up client cancels work nobody is waiting for.
 //
-//   - Bounded admission. At most MaxInFlight suites compute at once (excess
-//     requests that cannot dedup or hit the cache are shed with 429 +
-//     Retry-After), each granted an equal share of one weighted worker
-//     semaphore — the same no-oversubscription discipline as the pipeline's
-//     Prefetch — and each carries its request context into the suite so a
-//     hung-up client cancels work nobody is waiting for.
+// Distance-metric requests run on one long-lived ball.Engine per (set,
+// network), so concurrent requests whose sampled centers overlap compute
+// each shared center once through the engine's per-center claims. Level
+// counts are order-independent integers, so those responses are
+// byte-identical to solo ones.
 //
 // Responses are built solely from the cacheable entry forms (SuiteEntry,
 // metricEntry), never from transient state, so the computed, dedup, memo and
@@ -37,6 +35,8 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
+	"math/rand"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -44,27 +44,25 @@ import (
 	"sync/atomic"
 	"time"
 
+	"topocmp/internal/ball"
 	"topocmp/internal/cache"
 	"topocmp/internal/core"
 	"topocmp/internal/experiments"
+	"topocmp/internal/metrics"
 	"topocmp/internal/obs"
+	"topocmp/internal/stats"
 )
 
 // Options configures a Server. The zero value serves with NumCPU workers,
-// two suite slots, a 2ms coalescing window, no deadline and no disk cache.
+// two computation slots, no deadline and no disk cache.
 type Options struct {
 	// Workers is the global worker budget shared by every computation the
-	// server runs (suite stages, shared sweeps); 0 uses runtime.NumCPU.
+	// server runs (suite stages, metric sweeps); 0 uses runtime.NumCPU.
 	Workers int
-	// MaxInFlight caps concurrently *computing* suites; requests beyond it
-	// that cannot be served by dedup or the cache are shed with 429.
+	// MaxInFlight caps concurrently *computing* requests; requests beyond
+	// it that cannot be served by dedup or the cache are shed with 429.
 	// 0 means 2.
 	MaxInFlight int
-	// Window is the sweep-coalescing admission window: how long the first
-	// distance-metric request against a graph waits for peers before the
-	// shared sweep runs. 0 uses 2ms; negative disables coalescing (the
-	// engine's per-center claim protocol still dedups overlap).
-	Window time.Duration
 	// Deadline, when positive, bounds every request that does not carry its
 	// own TimeoutSeconds. The deadline cancels waiting and, when the last
 	// waiter gives up, the computation itself.
@@ -97,16 +95,6 @@ func (o *Options) maxInFlight() int {
 	return 2
 }
 
-func (o *Options) window() time.Duration {
-	if o.Window == 0 {
-		return 2 * time.Millisecond
-	}
-	if o.Window < 0 {
-		return 0
-	}
-	return o.Window
-}
-
 func (o *Options) keepStages() int {
 	if o.KeepStages > 0 {
 		return o.KeepStages
@@ -115,8 +103,8 @@ func (o *Options) keepStages() int {
 }
 
 // sem is a weighted counting semaphore (the pipeline's no-oversubscription
-// primitive): acquire(k) blocks until k of the n tokens are free. Suite
-// runs hold their granted width, shared sweeps hold the width they fan to.
+// primitive): acquire(k) blocks until k of the n tokens are free. Every
+// admitted computation holds its granted width for its whole run.
 type sem struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -178,8 +166,8 @@ func (f *flight) detach() {
 	}
 }
 
-// Server answers suite and metric queries with singleflight dedup, sweep
-// coalescing and bounded admission. Create one with New; it has no Close —
+// Server answers suite and metric queries with singleflight dedup and
+// bounded admission. Create one with New; it has no Close —
 // the owner drains via http.Server.Shutdown and the computations it cancels.
 type Server struct {
 	opts   Options
@@ -200,21 +188,18 @@ type Server struct {
 	msets map[string]*core.MeasuredSet
 
 	engMu   sync.Mutex
-	engines map[string]*engineEntry
+	engines map[string]*ball.Engine
 
 	traceSeq atomic.Int64
 
-	cRequests         *obs.Counter
-	cDedup            *obs.Counter
-	cCacheHits        *obs.Counter
-	cSuiteRuns        *obs.Counter
-	cMetricRuns       *obs.Counter
-	cRejected         *obs.Counter
-	cPanics           *obs.Counter
-	cCoalesceBatches  *obs.Counter
-	cCoalescedSources *obs.Counter
-	cCoalesceSwept    *obs.Counter
-	hLatency          *obs.Histogram
+	cRequests   *obs.Counter
+	cDedup      *obs.Counter
+	cCacheHits  *obs.Counter
+	cSuiteRuns  *obs.Counter
+	cMetricRuns *obs.Counter
+	cRejected   *obs.Counter
+	cPanics     *obs.Counter
+	hLatency    *obs.Histogram
 }
 
 // New returns a server over the options. The server owns its metrics
@@ -234,19 +219,16 @@ func New(opts Options) *Server {
 		onces:   map[string]*sync.Once{},
 		nets:    map[string]*core.Network{},
 		msets:   map[string]*core.MeasuredSet{},
-		engines: map[string]*engineEntry{},
+		engines: map[string]*ball.Engine{},
 
-		cRequests:         reg.Counter("serve.requests"),
-		cDedup:            reg.Counter("serve.dedup_hits"),
-		cCacheHits:        reg.Counter("serve.cache_hits"),
-		cSuiteRuns:        reg.Counter("serve.suite_runs"),
-		cMetricRuns:       reg.Counter("serve.metric_runs"),
-		cRejected:         reg.Counter("serve.rejected"),
-		cPanics:           reg.Counter("serve.panics"),
-		cCoalesceBatches:  reg.Counter("serve.coalesce_batches"),
-		cCoalescedSources: reg.Counter("serve.coalesced_sources"),
-		cCoalesceSwept:    reg.Counter("serve.coalesce_swept"),
-		hLatency:          reg.Histogram("serve.latency"),
+		cRequests:   reg.Counter("serve.requests"),
+		cDedup:      reg.Counter("serve.dedup_hits"),
+		cCacheHits:  reg.Counter("serve.cache_hits"),
+		cSuiteRuns:  reg.Counter("serve.suite_runs"),
+		cMetricRuns: reg.Counter("serve.metric_runs"),
+		cRejected:   reg.Counter("serve.rejected"),
+		cPanics:     reg.Counter("serve.panics"),
+		hLatency:    reg.Histogram("serve.latency"),
 	}
 	return s
 }
@@ -261,7 +243,7 @@ func (s *Server) Progress() *obs.Progress { return s.prog }
 // (/metrics, /debug/progress, /debug/trace, /debug/pprof/) plus
 //
 //	POST /v1/suite     run (or dedup/serve) a full metric suite
-//	POST /v1/metric    run one coalescible distance metric
+//	POST /v1/metric    run one distance metric
 //	GET  /v1/networks  list servable network names
 //	GET  /healthz      liveness probe
 func (s *Server) Handler() http.Handler {
@@ -284,8 +266,19 @@ type SuiteRequest struct {
 	Set     core.PaperSetOptions
 	Suite   core.SuiteOptions
 	// TimeoutSeconds, when positive, overrides the server's default
-	// per-request deadline.
+	// per-request deadline. A negative value, or one too large for a
+	// time.Duration, is rejected.
 	TimeoutSeconds float64
+}
+
+// checkTimeout rejects a TimeoutSeconds that is negative or too large to
+// convert to a time.Duration: the conversion would overflow to a negative
+// deadline that expires at once.
+func checkTimeout(sec float64) error {
+	if !(sec >= 0) || sec*float64(time.Second) >= math.MaxInt64 {
+		return fmt.Errorf("serve: TimeoutSeconds %v is negative or too large", sec)
+	}
+	return nil
 }
 
 // knownNetwork reports whether the experiment inventory can build name.
@@ -310,7 +303,7 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown network %q", req.Network), http.StatusBadRequest)
 		return
 	}
-	for _, err := range []error{req.Set.Validate(), req.Suite.Validate()} {
+	for _, err := range []error{req.Set.Validate(), req.Suite.Validate(), checkTimeout(req.TimeoutSeconds)} {
 		if err != nil {
 			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 			return
@@ -332,8 +325,6 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 			return &ent, true
 		},
 		func(cctx context.Context, width int) (any, error) {
-			s.tokens.acquire(width)
-			defer s.tokens.release(width)
 			n := s.network(cfg.Set, req.Network)
 			opts := cfg.Suite
 			opts.Parallelism = width
@@ -371,13 +362,153 @@ func (s *Server) runSuite(ctx context.Context, key, network string, n *core.Netw
 	return res, nil
 }
 
+// MetricRequest is the /v1/metric body: one distance metric over one
+// network. Supported metrics are "expansion" (Figure 2a-style E(h)) and
+// "eccentricity" (the Figure 7 node-diameter distribution); both only need
+// ball sizes, so concurrent requests share centers on the network's engine.
+type MetricRequest struct {
+	Network string
+	Set     core.PaperSetOptions
+	Metric  string
+	// Sources caps sampled BFS centers (0 = a 64-center default; a cap at
+	// or above the node count samples every node). Seed drives the center
+	// sampling (0 = 1). BinWidth is the eccentricity histogram bin
+	// (0 = 0.1). Negative Sources and negative or non-finite BinWidth are
+	// rejected. TimeoutSeconds is checked and applied as in SuiteRequest.
+	Sources        int
+	Seed           int64
+	BinWidth       float64
+	TimeoutSeconds float64
+}
+
+// validate rejects what defaults cannot repair: an invalid set, negative
+// Sources, a negative or non-finite BinWidth, or a bad TimeoutSeconds.
+func (q *MetricRequest) validate() error {
+	if err := q.Set.Validate(); err != nil {
+		return err
+	}
+	if q.Sources < 0 {
+		return fmt.Errorf("serve: Sources %d is negative", q.Sources)
+	}
+	if math.IsNaN(q.BinWidth) || math.IsInf(q.BinWidth, 0) || q.BinWidth < 0 {
+		return fmt.Errorf("serve: BinWidth %v is not a finite non-negative value", q.BinWidth)
+	}
+	return checkTimeout(q.TimeoutSeconds)
+}
+
+func (q *MetricRequest) defaults() {
+	if q.Sources == 0 {
+		q.Sources = 64
+	}
+	if q.Seed == 0 {
+		q.Seed = 1
+	}
+	if q.BinWidth == 0 {
+		q.BinWidth = 0.1
+	}
+}
+
+// metricEntry is the cacheable (and only) response form of /v1/metric.
+type metricEntry struct {
+	Network string
+	Metric  string
+	Series  stats.Series
+}
+
+func (s *Server) handleMetric(w http.ResponseWriter, r *http.Request) {
+	t0 := time.Now()
+	defer func() { s.hLatency.Observe(time.Since(t0)) }()
+	s.cRequests.Add(1)
+	var req MetricRequest
+	if !s.decode(w, r, &req) {
+		return
+	}
+	if !knownNetwork(req.Network) {
+		http.Error(w, fmt.Sprintf("unknown network %q", req.Network), http.StatusBadRequest)
+		return
+	}
+	if err := req.validate(); err != nil {
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	req.defaults()
+	if req.Metric != "expansion" && req.Metric != "eccentricity" {
+		http.Error(w, fmt.Sprintf("unknown metric %q (want expansion or eccentricity)", req.Metric),
+			http.StatusBadRequest)
+		return
+	}
+	key := cache.Key(req.Set.CacheKey(),
+		fmt.Sprintf("servemetric:%s,src=%d,seed=%d,bin=%g", req.Metric, req.Sources, req.Seed, req.BinWidth),
+		"net:"+req.Network)
+	s.stamp(w, key)
+
+	ctx, cancel := s.requestCtx(r, req.TimeoutSeconds)
+	defer cancel()
+
+	s.serveKeyed(w, ctx, key, "metric:"+req.Network,
+		func() (any, bool) {
+			var ent metricEntry
+			if !s.opts.Cache.Get(key, &ent) {
+				return nil, false
+			}
+			return &ent, true
+		},
+		func(cctx context.Context, width int) (any, error) {
+			ent, err := s.computeMetric(cctx, req, width)
+			if err != nil {
+				return nil, err
+			}
+			s.opts.Cache.Put(key, ent) //nolint:errcheck // best-effort persist
+			return ent, nil
+		})
+}
+
+// engine returns the long-lived ball engine for (set, name), creating it on
+// first use. Its profile caches persist across requests, so repeat queries
+// against a warm graph skip kernel work.
+func (s *Server) engine(set core.PaperSetOptions, name string) *ball.Engine {
+	key := set.CacheKey() + "|" + name
+	s.engMu.Lock()
+	defer s.engMu.Unlock()
+	e := s.engines[key]
+	if e == nil {
+		e = ball.NewEngine(s.network(set, name).Graph, s.opts.workers())
+		e.Instrument(s.reg)
+		s.engines[key] = e
+	}
+	return e
+}
+
+// computeMetric runs one distance metric on the network's shared engine at
+// the granted width. A center another request has claimed is waited for,
+// not recomputed; that wait holds this request's tokens, which is safe
+// because the claim's owner already holds its own and acquires no more
+// inside CumProfiles.
+func (s *Server) computeMetric(ctx context.Context, req MetricRequest, width int) (*metricEntry, error) {
+	e := s.engine(req.Set, req.Network)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	e.SetParallelism(width)
+	rng := rand.New(rand.NewSource(req.Seed))
+	ent := &metricEntry{Network: req.Network, Metric: req.Metric}
+	switch req.Metric {
+	case "expansion":
+		ent.Series = metrics.ExpansionWith(e, ball.Config{MaxSources: req.Sources, Rand: rng})
+	case "eccentricity":
+		ent.Series = metrics.EccentricityDistributionWith(e, req.Sources, req.BinWidth, rng)
+	}
+	s.cMetricRuns.Add(1)
+	return ent, nil
+}
+
 // serveKeyed is the singleflight spine shared by the suite and metric
 // endpoints: attach to an in-flight or memoized execution for key, serve
 // the disk fast path, or admit a new computation (shedding with 429 when
-// MaxInFlight are already computing). compute receives a context canceled
-// when every waiter is gone and the worker width it was granted; its result
-// is marshaled once and the bytes serve every waiter, so all paths are
-// byte-identical.
+// MaxInFlight are already computing). compute runs holding the worker
+// width it was granted, which it also receives, and a context canceled
+// when every waiter is gone; its result is marshaled once and the bytes
+// serve every waiter, so all paths are byte-identical.
 func (s *Server) serveKeyed(w http.ResponseWriter, ctx context.Context, key, label string,
 	cached func() (any, bool), compute func(ctx context.Context, width int) (any, error)) {
 	dedup := !s.opts.DisableDedup
@@ -430,11 +561,9 @@ func (s *Server) serveKeyed(w http.ResponseWriter, ctx context.Context, key, lab
 	s.mu.Unlock()
 
 	go func() {
-		// Token discipline is the compute callback's: suite runs hold their
-		// granted width for their whole duration, metric runs lean on the
-		// coalescer's sweep (which holds the full budget) instead of holding
-		// tokens while they wait on it — holding here would deadlock the two.
 		f.body, f.err = s.contain(label, func() ([]byte, error) {
+			s.tokens.acquire(width)
+			defer s.tokens.release(width)
 			v, err := compute(cctx, width)
 			if err != nil {
 				return nil, err

@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
+	"topocmp/internal/ball"
 	"topocmp/internal/cache"
 	"topocmp/internal/core"
 	"topocmp/internal/experiments"
@@ -181,13 +183,15 @@ func TestServeMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestServeMetricCoalesce checks the shared-sweep path: concurrent metric
-// requests with overlapping center sets are batched into shared MSBFS
-// sweeps, and every coalesced response is byte-identical to its solo run.
-func TestServeMetricCoalesce(t *testing.T) {
+// TestServeMetricConcurrent checks the one metric path under concurrency:
+// concurrent metric requests with overlapping center sets share one
+// engine, every response is byte-identical to its solo run, and each
+// center in the union of the requests' sets is computed exactly once.
+func TestServeMetricConcurrent(t *testing.T) {
+	const sources = 32
 	metricBody := func(seed int64, metric string) []byte {
 		b, err := json.Marshal(MetricRequest{
-			Network: "Tree", Set: quickSet(), Metric: metric, Sources: 32, Seed: seed,
+			Network: "Tree", Set: quickSet(), Metric: metric, Sources: sources, Seed: seed,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -195,11 +199,11 @@ func TestServeMetricCoalesce(t *testing.T) {
 		return b
 	}
 	seeds := []int64{1, 2, 3, 4}
-	// Solo references, each from a fresh coalescing-disabled server.
+	// Solo references, each from a fresh server.
 	want := map[string][]byte{}
 	for _, seed := range seeds {
 		for _, m := range []string{"expansion", "eccentricity"} {
-			ts := httptest.NewServer(New(Options{Workers: 2, Window: -1}).Handler())
+			ts := httptest.NewServer(New(Options{Workers: 2}).Handler())
 			code, _, body := postJSON(t, ts.URL+"/v1/metric", metricBody(seed, m))
 			ts.Close()
 			if code != http.StatusOK {
@@ -209,7 +213,7 @@ func TestServeMetricCoalesce(t *testing.T) {
 		}
 	}
 
-	s := New(Options{Workers: 2, MaxInFlight: 16, Window: 25 * time.Millisecond})
+	s := New(Options{Workers: 2, MaxInFlight: 16})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	var wg sync.WaitGroup
@@ -224,25 +228,28 @@ func TestServeMetricCoalesce(t *testing.T) {
 					return
 				}
 				if !bytes.Equal(body, want[fmt.Sprintf("%s/%d", m, seed)]) {
-					t.Errorf("metric %s/%d: coalesced body differs from solo", m, seed)
+					t.Errorf("metric %s/%d: concurrent body differs from solo", m, seed)
 				}
 			}(seed, m)
 		}
 	}
 	wg.Wait()
-	batches := s.reg.Counter("serve.coalesce_batches").Value()
-	submitted := s.reg.Counter("serve.coalesced_sources").Value()
-	swept := s.reg.Counter("serve.coalesce_swept").Value()
-	if batches < 1 {
-		t.Fatalf("coalesce_batches = %d, want >= 1", batches)
+	// Both metrics of a seed sample the same centers and the seeds' draws
+	// overlap, so a center computed twice, or missed, breaks the equality.
+	g := s.network(quickSet(), "Tree").Graph
+	union := map[int32]bool{}
+	for _, seed := range seeds {
+		cfg := ball.Config{MaxSources: sources, Rand: rand.New(rand.NewSource(seed))}
+		for _, c := range ball.Centers(g, &cfg) {
+			union[c] = true
+		}
 	}
-	if swept > submitted {
-		t.Fatalf("swept %d > submitted %d: union grew past its inputs", swept, submitted)
+	swept := s.reg.Counter("ball.msbfs_sources").Value() + s.reg.Counter("ball.dist_scalar").Value()
+	if swept != int64(len(union)) {
+		t.Fatalf("centers computed = %d, want |union| = %d", swept, len(union))
 	}
-	// 8 requests of 32 centers each over a 1093-node graph must overlap;
-	// if every request swept alone, no sharing happened.
-	if batches >= 8 && swept == submitted {
-		t.Fatalf("no sharing: %d batches, swept == submitted == %d", batches, swept)
+	if got := s.reg.Counter("serve.metric_runs").Value(); got != int64(2*len(seeds)) {
+		t.Fatalf("metric_runs = %d, want %d", got, 2*len(seeds))
 	}
 }
 
@@ -489,6 +496,32 @@ func TestServeRejectsBadOptions(t *testing.T) {
 		if q.validate() == nil {
 			t.Errorf("BinWidth %v accepted", bw)
 		}
+	}
+}
+
+// TestServeRejectsBadTimeout: a negative TimeoutSeconds, or one whose
+// conversion to a time.Duration would overflow (and so expire at once),
+// is refused with 400 on both endpoints before any network is built.
+func TestServeRejectsBadTimeout(t *testing.T) {
+	s := New(Options{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, sec := range []string{"1e10", "-1"} {
+		for _, b := range []struct{ path, body string }{
+			{"/v1/suite", `{"Network":"Tree","TimeoutSeconds":` + sec + `}`},
+			{"/v1/metric", `{"Network":"Tree","Metric":"expansion","TimeoutSeconds":` + sec + `}`},
+		} {
+			code, _, out := postJSON(t, ts.URL+b.path, []byte(b.body))
+			if code != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d, want 400 (%s)", b.path, b.body, code, out)
+			}
+		}
+	}
+	s.netMu.Lock()
+	built := len(s.nets) + len(s.msets)
+	s.netMu.Unlock()
+	if built != 0 {
+		t.Fatalf("%d networks built for rejected requests", built)
 	}
 }
 

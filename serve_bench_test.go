@@ -10,17 +10,16 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"topocmp/internal/core"
 	"topocmp/internal/serve"
 )
 
 // serveBenchRow is one line of BENCH_serve.json: throughput of the serving
-// layer's two perf mechanisms against their naive counterparts. One op is a
-// burst of Requests concurrent HTTP requests; SpeedupVsNaive is filled on
-// the optimized row once its naive twin has run, so the committed file
-// carries the dedup and coalescing wins explicitly. Rewritten after every
+// layer's two sharing mechanisms against their naive counterparts. One op
+// is a burst of Requests concurrent HTTP requests; SpeedupVsNaive is filled
+// on the optimized row once its naive twin has run, so the committed file
+// carries the dedup and shared-engine wins explicitly. Rewritten after every
 // benchmark so a partial -bench run still leaves a consistent file.
 type serveBenchRow struct {
 	Name           string  `json:"name"`
@@ -40,8 +39,8 @@ var serveBench struct {
 // serveBenchPairs maps each optimized sub-benchmark to the naive twin its
 // speedup is computed against.
 var serveBenchPairs = map[string]string{
-	"BenchmarkServe/dedup8":    "BenchmarkServe/naive8",
-	"BenchmarkServe/coalesce8": "BenchmarkServe/solo8",
+	"BenchmarkServe/dedup8":  "BenchmarkServe/naive8",
+	"BenchmarkServe/shared8": "BenchmarkServe/solo8",
 }
 
 // benchServe runs fn (one burst of requests concurrent requests) b.N times
@@ -180,18 +179,18 @@ func postOnce(b *testing.B, url string, body []byte) []byte {
 	return out
 }
 
-// BenchmarkServe measures the daemon's two coalescing layers end to end
-// over real HTTP, writing BENCH_serve.json:
+// BenchmarkServe measures the daemon's two sharing layers end to end over
+// real HTTP, writing BENCH_serve.json:
 //
 //   - dedup8 vs naive8: 8 concurrent identical suite requests per op.
 //     With singleflight the burst executes one suite; with dedup disabled
 //     every request computes, serialized by the worker semaphore — the
 //     dedup row's speedup_vs_naive is the acceptance figure (>= 5x).
-//   - coalesce8 vs solo8: 8 concurrent expansion requests from distinct
-//     seeds per op. The coalescing server merges the burst into one shared
-//     MSBFS sweep over the union of their centers; the naive side executes
-//     each request in isolation (8 separate servers, one engine each — no
-//     shared claim cache, no window), which is what per-request execution
+//   - shared8 vs solo8: 8 concurrent expansion requests from distinct
+//     seeds per op. On one server the burst runs on one engine, whose
+//     per-center claims compute each center of the overlapping sets once;
+//     the naive side executes each request in isolation (8 separate
+//     servers, one engine each), which is what per-request execution
 //     without a serving layer does: 8 full sweeps over overlapping center
 //     sets. Servers are rebuilt per op so every engine starts cold; that
 //     setup runs outside the timer.
@@ -226,39 +225,39 @@ func BenchmarkServe(b *testing.B) {
 		})
 	}
 
-	// Shared-sweep coalescing: the per-server engine caches cumulative
-	// profiles for the server's lifetime, so each op gets fresh servers
-	// (setup outside the timer) and replays the same 8-seed burst cold.
+	// Shared engine: the per-server engine caches cumulative profiles for
+	// the server's lifetime, so each op gets fresh servers (setup outside
+	// the timer) and replays the same 8-seed burst cold.
 	metricBodies := make([][]byte, 8)
 	for i := range metricBodies {
 		metricBodies[i] = serveBenchMetricBody(b, int64(i+1))
 	}
-	newMetricServer := func(window time.Duration) (*httptest.Server, func()) {
-		s := serve.New(serve.Options{MaxInFlight: 16, Window: window})
+	newMetricServer := func() (*httptest.Server, func()) {
+		s := serve.New(serve.Options{MaxInFlight: 16})
 		ts := httptest.NewServer(s.Handler())
 		// Build the network and engine before the timer restarts; a
 		// one-source probe leaves the profile cache effectively cold.
 		postOnce(b, ts.URL+"/v1/metric", serveBenchMetricBody(b, 1<<40))
 		return ts, ts.Close
 	}
-	// Coalesced responses must be byte-identical to isolated solo ones.
+	// Shared-engine responses must be byte-identical to isolated solo ones.
 	{
-		cts, cdone := newMetricServer(2 * time.Millisecond)
+		cts, cdone := newMetricServer()
 		for i, body := range metricBodies {
-			sts, sdone := newMetricServer(-1)
+			sts, sdone := newMetricServer()
 			got := postOnce(b, cts.URL+"/v1/metric", body)
 			want := postOnce(b, sts.URL+"/v1/metric", body)
 			sdone()
 			if !bytes.Equal(got, want) {
-				b.Fatalf("coalesced body %d differs from solo body", i)
+				b.Fatalf("shared-engine body %d differs from solo body", i)
 			}
 		}
 		cdone()
 	}
-	b.Run("coalesce8", func(b *testing.B) {
-		benchServe(b, "coalesced", 8, func() {
+	b.Run("shared8", func(b *testing.B) {
+		benchServe(b, "shared", 8, func() {
 			b.StopTimer()
-			ts, done := newMetricServer(2 * time.Millisecond)
+			ts, done := newMetricServer()
 			b.StartTimer()
 			fireBurst(b, ts.URL+"/v1/metric", metricBodies)
 			b.StopTimer()
@@ -272,7 +271,7 @@ func BenchmarkServe(b *testing.B) {
 			servers := make([]*httptest.Server, len(metricBodies))
 			closers := make([]func(), len(metricBodies))
 			for i := range servers {
-				servers[i], closers[i] = newMetricServer(-1)
+				servers[i], closers[i] = newMetricServer()
 			}
 			b.StartTimer()
 			var wg sync.WaitGroup

@@ -20,7 +20,8 @@ import (
 // query answers, a duplicate fired while the first is in flight dedups
 // against it (serve_dedup_hits_total moves), and /metrics plus
 // /debug/progress serve mid-run. The daemon is then killed; byte-identity
-// and coalescing have their own in-process tests (internal/serve).
+// and concurrent metric sharing have their own in-process tests
+// (internal/serve).
 func TestServeSmoke(t *testing.T) {
 	if os.Getenv("TOPOCMP_SERVE_SMOKE") == "" {
 		t.Skip("set TOPOCMP_SERVE_SMOKE=1 to run the topocmpd serve smoke")

@@ -22,8 +22,8 @@
 # workspaces (metrics.TestBrandesRaceShort), the sigma-batched
 # link-value sweeps leasing MSBFS workspaces from the shared pool
 # (hierarchy.TestLinkValueRaceShort), and the serving layer's singleflight
-# dedup, sweep coalescer and admission semaphore under mixed concurrent
-# traffic at P=4 (serve.TestServeRaceShort).
+# dedup, shared per-network ball engines and admission semaphore under
+# mixed concurrent traffic at P=4 (serve.TestServeRaceShort).
 set -eu
 
 echo "== tier 0: gofmt cleanliness =="
